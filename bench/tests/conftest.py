@@ -1,0 +1,7 @@
+"""Harness self-tests: ``pytest bench/tests -q`` from the repository root."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
