@@ -18,22 +18,21 @@ concatenation, max unions, boundary stitching — the parallel result is
 byte-identical to the serial fold; every accumulator shipped in
 ``core.kernels``/``core.segments``/``core.fairness`` satisfies this.
 
-Every block runs in its own one-shot **spawn** process with a result
-pipe, supervised the same way :mod:`repro.experiments.supervisor`
-supervises experiments: nothing is smuggled through fork copy-on-write
-(the kernel and every argument cross a real pickle boundary,
-repro-lint REP303; workers touch no module-level state, REP103), and
-no wait is unbounded — the parent polls pipes and process sentinels
-together, so a dead worker is detected immediately and a hung one is
-killed at its per-block timeout. Failures are classified:
+Blocks are one task kind of the shared executor
+(:mod:`repro.core.supervise`), which owns the worker mechanics: a
+one-shot process per attempt, waits on result pipes and sentinels
+together, a kill at the per-block timeout, seeded-backoff retries.
+Block workers **spawn**, so nothing is smuggled through fork
+copy-on-write: the kernel and every argument cross a real pickle
+boundary (repro-lint REP303) and workers touch no module-level state
+(REP103). Failures are classified:
 
 ``crash`` / ``timeout``
-    Transient. The block is retried with seeded-jitter capped
-    exponential backoff (:func:`repro.core.retry.backoff_delay`), up to
-    ``retries`` extra attempts, then falls back to inline execution in
-    the parent. Repeated transient failures across the pool trip a
-    circuit breaker (``degrade_after``) that finishes every remaining
-    block inline, in order — graceful degradation to ``jobs=1``.
+    Transient. The block is retried up to ``retries`` extra attempts,
+    then falls back to inline execution in the parent. Repeated
+    transient failures across the pool trip a circuit breaker
+    (:data:`DEGRADE_AFTER`) that finishes every remaining block inline,
+    in order — graceful degradation to ``jobs=1``.
 ``integrity``
     A :class:`~repro.core.shard.ShardIntegrityError` — the table
     itself is damaged, so retrying the same bytes cannot help. The
@@ -46,8 +45,8 @@ killed at its per-block timeout. Failures are classified:
     contract; it fails fast as :class:`MapReduceError`.
 
 Stragglers: once at least half the blocks have finished, a block
-running far past the median block time (``straggler_factor``) gets a
-speculative duplicate; the first result wins and the loser is killed.
+running far past the median block time (:data:`STRAGGLER_FACTOR`) gets
+a speculative duplicate; the first result wins and the loser is killed.
 
 Recovery counters (``mapreduce_retries``, ``mapreduce_crashes``,
 ``mapreduce_block_timeouts``, ``mapreduce_respawns``,
@@ -58,18 +57,14 @@ optional ``timings`` so they surface in the run's recovery footer and
 
 from __future__ import annotations
 
-import multiprocessing
-import time
 import traceback
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
-from .retry import backoff_delay
-from .shard import VERIFY_MODES, ShardIntegrityError, ShardedTable
+from .shard import ShardIntegrityError, ShardedTable
+from .supervise import Executor, Policy
 from .timing import Timings
 
 __all__ = [
-    "MapReduceConfig",
     "MapReduceError",
     "map_reduce",
     "map_shards",
@@ -84,63 +79,26 @@ Merge = Callable[[object, object], object]
 Inject = Callable[[str, int, int], None]
 Heal = Callable[[str, str], str | None]
 
+#: First-retry backoff, doubling per attempt up to the cap (seconds).
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Seed for the deterministic backoff jitter.
+SEED = 0
+#: Transient failures across one pass that trip the circuit breaker:
+#: every remaining block then runs inline, in order.
+DEGRADE_AFTER = 4
+#: Most ``heal`` round-trips per pass before the integrity error is
+#: raised to the caller (guards against re-corrupting storage).
+MAX_HEALS = 2
+#: A running block slower than ``STRAGGLER_FACTOR`` x the median
+#: finished-block time (and ``STRAGGLER_FLOOR`` seconds) gets a
+#: speculative duplicate.
+STRAGGLER_FACTOR = 4.0
+STRAGGLER_FLOOR = 1.0
+
 
 class MapReduceError(RuntimeError):
     """A worker raised a permanent (non-transient) exception."""
-
-
-@dataclass(frozen=True)
-class MapReduceConfig:
-    """Fault-tolerance policy for one supervised map-reduce pass."""
-
-    #: Per-block wall-clock budget; a worker past it is killed and the
-    #: attempt classified ``timeout``. ``None`` disables.
-    timeout: float | None = None
-    #: Extra attempts per block for transient failures before the block
-    #: falls back to inline execution in the parent.
-    retries: int = 2
-    #: First-retry backoff, doubling per attempt up to ``backoff_cap``.
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    #: Seed for the deterministic backoff jitter.
-    seed: int = 0
-    #: Digest-verification mode workers open the table with.
-    verify: str = "lazy"
-    #: Transient failures across the whole pass that trip the circuit
-    #: breaker: every remaining block then runs inline, in order.
-    degrade_after: int = 4
-    #: Most ``heal`` round-trips allowed before the integrity error is
-    #: raised to the caller (guards against re-corrupting storage).
-    max_heals: int = 2
-    #: A running block slower than ``straggler_factor`` x the median
-    #: finished-block time (and ``straggler_floor`` seconds) gets a
-    #: speculative duplicate. ``None`` disables speculation.
-    straggler_factor: float | None = 4.0
-    straggler_floor: float = 1.0
-    #: Supervision loop granularity (result/deadline polling).
-    poll_interval: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
-        if self.max_heals < 0:
-            raise ValueError("max_heals must be >= 0")
-        if self.verify not in VERIFY_MODES:
-            raise ValueError(
-                f"unknown verify mode {self.verify!r}; available: "
-                f"{VERIFY_MODES}"
-            )
-
-
-def _now() -> float:
-    """Scheduling clock for block timeouts/backoff (observability only).
-
-    Never feeds results — the supervisor only decides *when* to run
-    work whose *content* is fixed by the shard bytes and the kernel.
-    """
-    return time.monotonic()  # reprolint: disable=REP501
 
 
 def merge_accumulators(left: object, right: object) -> object:
@@ -215,23 +173,6 @@ def _format_error(exc: BaseException) -> str:
     ).strip()
 
 
-@dataclass
-class _Pending:
-    block: int
-    attempt: int
-    eligible_at: float
-
-
-@dataclass
-class _Running:
-    block: int
-    attempt: int
-    process: object
-    conn: object
-    started: float
-    kill_at: float | None
-
-
 class _HealState:
     """Current table root plus the heal budget, shared across blocks."""
 
@@ -241,16 +182,10 @@ class _HealState:
         self.root = root
         self.heals = 0
 
-    def heal(
-        self,
-        heal: Heal | None,
-        message: str,
-        config: MapReduceConfig,
-        timings: Timings | None,
-    ) -> None:
+    def heal(self, heal: Heal | None, message: str) -> None:
         """Re-derive the table or re-raise; updates ``self.root``."""
         self.heals += 1
-        if heal is None or self.heals > config.max_heals:
+        if heal is None or self.heals > MAX_HEALS:
             raise ShardIntegrityError(message, root=self.root)
         new_root = heal(self.root, message)
         if not new_root:
@@ -258,9 +193,9 @@ class _HealState:
         self.root = str(new_root)
 
 
-def _count(timings: Timings | None, name: str, n: int = 1) -> None:
-    if timings is not None and n:
-        timings.count(name, n)
+def _count(timings: Timings | None, name: str) -> None:
+    if timings is not None:
+        timings.count(name)
 
 
 def _run_block_inline(
@@ -270,256 +205,154 @@ def _run_block_inline(
     args: tuple,
     fold: bool,
     merge: Merge,
-    config: MapReduceConfig,
+    verify: str,
     heal: Heal | None,
-    timings: Timings | None,
     table: ShardedTable | None = None,
 ) -> object:
     """Evaluate one block in-process, healing shard corruption."""
     while True:
         try:
             if table is None:
-                table = ShardedTable.open(state.root, verify=config.verify)
+                table = ShardedTable.open(state.root, verify=verify)
             return _evaluate_block(table, indices, kernel, args, fold, merge)
         except ShardIntegrityError as exc:
             table = None
-            state.heal(heal, _format_error(exc), config, timings)
+            state.heal(heal, _format_error(exc))
 
 
-def _terminate(worker: _Running) -> None:
-    process = worker.process
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=2.0)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=2.0)
-    try:
-        worker.conn.close()
-    except OSError:
-        pass
+class _BlockRun(Executor):
+    """One supervised pass: inline fallback, circuit breaker, heal
+    barrier and straggler speculation."""
 
-
-def _supervise(
-    state: _HealState,
-    blocks: list[list[int]],
-    kernel: Kernel,
-    args: tuple,
-    fold: bool,
-    merge: Merge,
-    jobs: int,
-    config: MapReduceConfig,
-    inject: Inject | None,
-    heal: Heal | None,
-    timings: Timings | None,
-) -> list[object]:
-    """Run every block under supervision; results in block order."""
-    ctx = multiprocessing.get_context("spawn")
-    n = len(blocks)
-    completed: dict[int, object] = {}
-    durations: list[float] = []
-    pending: list[_Pending] = [_Pending(i, 1, 0.0) for i in range(n)]
-    running: list[_Running] = []
-    transient = 0
-
-    def launch(item: _Pending) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_block_main,
-            args=(
-                child_conn,
-                state.root,
-                config.verify,
-                item.block,
-                list(blocks[item.block]),
-                kernel,
-                args,
-                fold,
-                merge,
-                inject,
-                item.attempt,
-            ),
-            daemon=True,
+    def __init__(
+        self,
+        state: _HealState,
+        blocks: list[list[int]],
+        kernel: Kernel,
+        args: tuple,
+        fold: bool,
+        merge: Merge,
+        jobs: int,
+        config: Policy,
+        inject: Inject | None,
+        heal: Heal | None,
+        timings: Timings | None,
+    ) -> None:
+        super().__init__(
+            _block_main,
+            method="spawn",
+            jobs=jobs,
+            timeout=config.timeout,
+            retries=config.retries,
+            seed=SEED,
+            backoff=(BACKOFF_BASE, BACKOFF_CAP),
         )
-        try:
-            process.start()
-        except BaseException:
-            # A failed spawn must not leak the pipe: close both ends
-            # before propagating, or the parent accumulates dead fds
-            # across respawn storms.
-            parent_conn.close()
-            raise
-        finally:
-            child_conn.close()
-        now = _now()
-        kill_at = now + config.timeout if config.timeout else None
-        running.append(
-            _Running(item.block, item.attempt, process, parent_conn, now, kill_at)
-        )
-        if item.attempt > 1:
-            _count(timings, "mapreduce_respawns")
+        self.state = state
+        self.blocks = blocks
+        self.work = (kernel, args, fold, merge)
+        self.verify = config.verify
+        self.inject = inject
+        self.heal = heal
+        self.timings = timings
+        self.completed: dict[int, object] = {}
+        self.durations: list[float] = []
+        self.transient = 0
+        for block in range(len(blocks)):
+            self.submit(block)
 
-    def has_sibling(worker: _Running) -> bool:
-        return any(
-            w.block == worker.block and w is not worker for w in running
+    def args(self, block, attempt):
+        kernel, args, fold, merge = self.work
+        return (
+            self.state.root,
+            self.verify,
+            block,
+            list(self.blocks[block]),
+            kernel,
+            args,
+            fold,
+            merge,
+            self.inject,
+            attempt,
         )
 
-    def is_queued(block: int) -> bool:
-        return any(p.block == block for p in pending)
+    def launch(self, block, attempt) -> None:
+        super().launch(block, attempt)
+        if attempt > 1:
+            _count(self.timings, "mapreduce_respawns")
 
-    def run_inline(block: int) -> None:
-        completed[block] = _run_block_inline(
-            state, blocks[block], kernel, args, fold, merge, config, heal,
-            timings,
-        )
-        _count(timings, "mapreduce_inline")
-
-    def fail_transient(worker: _Running, kind: str) -> None:
-        nonlocal transient
-        transient += 1
-        _count(
-            timings,
-            "mapreduce_block_timeouts"
-            if kind == "timeout"
-            else "mapreduce_crashes",
-        )
-        if worker.block in completed or has_sibling(worker):
-            return  # a speculative sibling already covers this block
-        if worker.attempt <= config.retries:
-            _count(timings, "mapreduce_retries")
-            delay = backoff_delay(
-                config.seed,
-                f"block:{worker.block}",
-                worker.attempt,
-                base=config.backoff_base,
-                cap=config.backoff_cap,
-            )
-            pending.append(
-                _Pending(worker.block, worker.attempt + 1, _now() + delay)
-            )
+    def on_message(self, worker, message) -> None:
+        status, payload = message
+        if status == "ok":
+            if worker.key not in self.completed:
+                self.completed[worker.key] = payload
+                self.durations.append(self.elapsed(worker))
+            for sibling in [w for w in self.running if w.key == worker.key]:
+                self.kill(sibling)
+        elif status == "integrity":
+            self._heal_barrier(worker, payload)
         else:
-            run_inline(worker.block)
+            raise MapReduceError(payload)
 
-    def handle_integrity(worker: _Running, message: str) -> None:
+    def on_failure(self, worker, kind: str) -> None:
+        self.transient += 1
+        _count(
+            self.timings,
+            "mapreduce_block_timeouts" if kind == "timeout" else "mapreduce_crashes",
+        )
+        if worker.key in self.completed or self._has_sibling(worker):
+            return  # a speculative sibling already covers this block
+        if self.retry(worker):
+            _count(self.timings, "mapreduce_retries")
+        else:
+            self._run_inline(worker.key)
+
+    def stop(self) -> bool:
+        """Circuit breaker: the pool machinery itself keeps failing, so
+        finish everything inline, in order."""
+        if self.transient < DEGRADE_AFTER:
+            return False
+        self.reap()
+        self.pending.clear()
+        for block in range(len(self.blocks)):
+            if block not in self.completed:
+                self._run_inline(block)
+        return True
+
+    def speculate(self) -> None:
+        if self.pending or len(self.durations) < max(1, len(self.blocks) // 2):
+            return
+        median = sorted(self.durations)[len(self.durations) // 2]
+        threshold = max(STRAGGLER_FLOOR, STRAGGLER_FACTOR * median)
+        for worker in list(self.running):
+            if len(self.running) >= self.jobs:
+                break
+            if not self._has_sibling(worker) and self.elapsed(worker) > threshold:
+                _count(self.timings, "mapreduce_stragglers")
+                self.launch(worker.key, worker.attempt + 1)
+
+    def _has_sibling(self, worker) -> bool:
+        return any(w.key == worker.key and w is not worker for w in self.running)
+
+    def _run_inline(self, block: int) -> None:
+        kernel, args, fold, merge = self.work
+        self.completed[block] = _run_block_inline(
+            self.state, self.blocks[block], kernel, args, fold, merge,
+            self.verify, self.heal,
+        )
+        _count(self.timings, "mapreduce_inline")
+
+    def _heal_barrier(self, worker, message: str) -> None:
         # The table bytes are damaged: heal (quarantine + re-derive),
         # then restart every in-flight block against the new root.
         # Finished block payloads stay valid — re-derivation is
         # byte-identical — so only unfinished work is requeued.
-        try:
-            state.heal(heal, message, config, timings)
-        except ShardIntegrityError:
-            for other in list(running):
-                _terminate(other)
-            running.clear()
-            raise
-        restart = [worker] + list(running)
-        for other in list(running):
-            _terminate(other)
-        running.clear()
+        self.state.heal(self.heal, message)
+        restart = [worker] + self.running
+        self.reap()
         for other in restart:
-            if other.block not in completed and not is_queued(other.block):
-                pending.append(_Pending(other.block, other.attempt + 1, 0.0))
-
-    def fail_permanent(message: str) -> None:
-        for other in list(running):
-            _terminate(other)
-        running.clear()
-        raise MapReduceError(message)
-
-    try:
-        while len(completed) < n:
-            if transient >= config.degrade_after:
-                # Circuit breaker: the pool machinery itself is failing
-                # repeatedly; finish everything inline, in order.
-                for worker in list(running):
-                    _terminate(worker)
-                running.clear()
-                pending.clear()
-                for block in range(n):
-                    if block not in completed:
-                        run_inline(block)
-                break
-            now = _now()
-            pending.sort(key=lambda p: (p.eligible_at, p.block))
-            while (
-                pending
-                and len(running) < jobs
-                and pending[0].eligible_at <= now
-            ):
-                launch(pending.pop(0))
-            if (
-                config.straggler_factor is not None
-                and len(durations) >= max(1, n // 2)
-                and len(running) < jobs
-                and not pending
-            ):
-                median = sorted(durations)[len(durations) // 2]
-                threshold = max(
-                    config.straggler_floor, config.straggler_factor * median
-                )
-                for worker in list(running):
-                    if len(running) >= jobs:
-                        break
-                    if has_sibling(worker):
-                        continue
-                    if now - worker.started > threshold:
-                        _count(timings, "mapreduce_stragglers")
-                        launch(_Pending(worker.block, worker.attempt + 1, now))
-            if not running:
-                if pending:
-                    wake = min(p.eligible_at for p in pending)
-                    delay = min(max(0.0, wake - now), config.backoff_cap)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                break  # nothing running or queued; loop exits via count
-            waitables = [w.process.sentinel for w in running]
-            deadline = now + config.poll_interval
-            for worker in running:
-                if worker.kill_at is not None:
-                    deadline = min(deadline, worker.kill_at)
-            multiprocessing.connection.wait(
-                waitables, timeout=max(0.0, deadline - _now())
-            )
-            now = _now()
-            for worker in list(running):
-                if worker not in running:
-                    continue
-                if worker.conn.poll():
-                    running.remove(worker)
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        _terminate(worker)
-                        fail_transient(worker, "crash")
-                        continue
-                    _terminate(worker)
-                    status, payload = message
-                    if status == "ok":
-                        if worker.block not in completed:
-                            completed[worker.block] = payload
-                            durations.append(now - worker.started)
-                        for sibling in list(running):
-                            if sibling.block == worker.block:
-                                _terminate(sibling)
-                                running.remove(sibling)
-                    elif status == "integrity":
-                        handle_integrity(worker, payload)
-                    else:
-                        fail_permanent(payload)
-                elif not worker.process.is_alive():
-                    running.remove(worker)
-                    _terminate(worker)
-                    fail_transient(worker, "crash")
-                elif worker.kill_at is not None and now >= worker.kill_at:
-                    running.remove(worker)
-                    _terminate(worker)
-                    fail_transient(worker, "timeout")
-    finally:
-        for worker in list(running):
-            _terminate(worker)
-        running.clear()
-    return [completed[block] for block in range(n)]
+            queued = any(item.key == other.key for item in self.pending)
+            if other.key not in self.completed and not queued:
+                self.submit(other.key, other.attempt + 1)
 
 
 def _run_blocks(
@@ -530,11 +363,12 @@ def _run_blocks(
     fold: bool,
     merge: Merge,
     jobs: int,
-    config: MapReduceConfig,
+    config: Policy | None,
     inject: Inject | None,
     heal: Heal | None,
     timings: Timings | None,
 ) -> list[object]:
+    config = config if config is not None else Policy(retries=2)
     state = _HealState(str(table.root))
     if jobs <= 1 or len(blocks) <= 1:
         results = []
@@ -542,16 +376,18 @@ def _run_blocks(
         for block in blocks:
             results.append(
                 _run_block_inline(
-                    state, block, kernel, args, fold, merge, config, heal,
-                    timings, table=reuse,
+                    state, block, kernel, args, fold, merge, config.verify,
+                    heal, table=reuse,
                 )
             )
             reuse = None if state.heals else table
         return results
-    return _supervise(
+    run = _BlockRun(
         state, blocks, kernel, args, fold, merge, jobs, config, inject, heal,
         timings,
     )
+    run.run()
+    return [run.completed[block] for block in range(len(blocks))]
 
 
 def map_shards(
@@ -560,16 +396,19 @@ def map_shards(
     *,
     args: tuple = (),
     jobs: int = 1,
-    config: MapReduceConfig | None = None,
+    config: Policy | None = None,
     inject: Inject | None = None,
     heal: Heal | None = None,
     timings: Timings | None = None,
 ) -> list[object]:
-    """Kernel result per shard, in shard order."""
+    """Kernel result per shard, in shard order.
+
+    ``jobs`` splits the table into that many blocks; ``config`` supplies
+    the per-block timeout, retries (default 2) and verify mode.
+    """
     n = table.num_shards
     if n == 0:
         return []
-    config = config or MapReduceConfig()
     blocks = [list(block) for block in _split_blocks(n, jobs)]
     results = _run_blocks(
         table, blocks, kernel, args, False, merge_accumulators, jobs, config,
@@ -585,19 +424,19 @@ def map_reduce(
     args: tuple = (),
     jobs: int = 1,
     merge: Merge = merge_accumulators,
-    config: MapReduceConfig | None = None,
+    config: Policy | None = None,
     inject: Inject | None = None,
     heal: Heal | None = None,
     timings: Timings | None = None,
 ) -> object:
     """Left fold of per-shard kernel results in shard order.
 
-    Returns ``None`` for a table with zero shards.
+    Returns ``None`` for a table with zero shards. ``jobs`` and
+    ``config`` work as in :func:`map_shards`.
     """
     n = table.num_shards
     if n == 0:
         return None
-    config = config or MapReduceConfig()
     blocks = [list(block) for block in _split_blocks(n, jobs)]
     results = _run_blocks(
         table, blocks, kernel, args, True, merge, jobs, config, inject, heal,

@@ -692,10 +692,19 @@ class ShardedTable:
                 f"unknown verify mode {verify!r}; available: {VERIFY_MODES}"
             )
         root = Path(root)
+        if not root.is_dir():
+            raise FileNotFoundError(f"no shard table at {root}")
         manifest_path = root / _MANIFEST
-        if not manifest_path.is_file():
-            raise FileNotFoundError(f"no shard manifest at {manifest_path}")
-        manifest = json.loads(manifest_path.read_text())
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except (OSError, ValueError) as exc:
+            # An existing table without a readable manifest is damaged
+            # bytes, like a missing shard: the heal path must see it.
+            raise ShardIntegrityError(
+                f"missing or unreadable shard manifest at {manifest_path}: "
+                f"{exc}",
+                root=root,
+            ) from exc
         version = manifest.get("version")
         if version not in _READABLE_VERSIONS:
             raise ValueError(

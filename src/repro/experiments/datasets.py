@@ -22,9 +22,12 @@ environment variable; it is off by default for library use.
 from __future__ import annotations
 
 import atexit
+import fcntl
 import os
 import shutil
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -33,8 +36,9 @@ import numpy as np
 
 from .. import __version__
 from ..core.diskcache import MISS, DiskCache, cache_key, fingerprint
-from ..core.mapreduce import MapReduceConfig, map_reduce, map_shards, merge_accumulators
+from ..core.mapreduce import map_reduce, map_shards, merge_accumulators
 from ..core.shard import ShardIntegrityError, ShardWriter, ShardedTable
+from ..core.supervise import Policy
 from ..core.table import Table
 from ..hostload.series import MachineLoadSeries, all_machine_series
 from ..sim.cluster import ClusterSimulator, SimConfig, SimResult
@@ -555,6 +559,20 @@ def _tmp_spill(
     return str(dest)
 
 
+@contextmanager
+def _spill_lock(path: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``path`` (created if missing).
+
+    The kernel drops the lock when its holder exits or is SIGKILLed, so
+    a spill killed mid-write never strands the next attempt, which then
+    resumes the journaled prefix.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
+
+
 def _sharded_build(
     kind: str,
     key_parts: dict[str, object],
@@ -571,8 +589,9 @@ def _sharded_build(
     at exit. Cache-backed spills are **crash-safe**: they stage at a
     deterministic per-key path under ``<cache>/.spill/`` so a process
     killed mid-spill leaves a journaled partial that the next attempt
-    resumes instead of restarting. Every returned root is registered in
-    :data:`_SHARD_SOURCES` for :func:`heal_sharded_table`.
+    resumes instead of restarting, and processes that miss the same key
+    at once take turns on a lock beside it. Every returned root is
+    registered in :data:`_SHARD_SOURCES` for :func:`heal_sharded_table`.
     """
 
     def register(path: str) -> str:
@@ -600,14 +619,22 @@ def _sharded_build(
     if path is not MISS:
         _STATS["disk_hits"] += 1
         return register(str(path))
-    _STATS["disk_misses"] += 1
-    table = build_table()
     stage = cache.root / ".spill" / key[:16]
-    stage.mkdir(parents=True, exist_ok=True)
-    dest = stage / "shards"
-    _spill(table, dest, shard_rows, group_by, kind, resume=True)
-    cache.put_path(key, dest, move=True)
-    shutil.rmtree(stage, ignore_errors=True)
+    with _spill_lock(stage.with_name(f"{stage.name}.lock")):
+        # Workers that miss the same table at once share one staging
+        # dir, so only the lock holder spills; a waiter finds the entry
+        # the holder published.
+        path = cache.get_path(key)
+        if path is not MISS:
+            _STATS["disk_hits"] += 1
+            return register(str(path))
+        _STATS["disk_misses"] += 1
+        table = build_table()
+        stage.mkdir(parents=True, exist_ok=True)
+        dest = stage / "shards"
+        _spill(table, dest, shard_rows, group_by, kind, resume=True)
+        cache.put_path(key, dest, move=True)
+        shutil.rmtree(stage, ignore_errors=True)
     path = cache.get_path(key)
     if path is not MISS:
         return register(str(path))
@@ -675,8 +702,8 @@ def _shard_injector(path: str):
     return faults.ShardFaultInjector(plan=plan, table=kind)
 
 
-def _mapreduce_config(backend: BackendSpec) -> MapReduceConfig:
-    return MapReduceConfig(
+def _mapreduce_config(backend: BackendSpec) -> Policy:
+    return Policy(
         timeout=backend.block_timeout,
         retries=backend.block_retries,
         verify=backend.verify,

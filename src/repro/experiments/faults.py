@@ -1,9 +1,12 @@
-"""Deterministic fault injection for the supervised experiment runner.
+"""Deterministic fault injection for both supervised task kinds.
 
-Every recovery path in :mod:`repro.experiments.supervisor` — worker
-crash, hang past the timeout, in-experiment exception, corrupted cache
-entry — is exercised by *injecting* the failure rather than trusting
-that the code would handle it. A :class:`FaultPlan` names exactly which
+Every recovery path of the shared executor (:mod:`repro.core.supervise`)
+and of its two task kinds — experiments
+(:mod:`repro.experiments.supervisor`) and map-reduce blocks
+(:mod:`repro.core.mapreduce`) — worker crash, hang past the timeout,
+in-experiment exception, corrupted cache entry or shard, torn spill —
+is exercised by *injecting* the failure rather than trusting that the
+code would handle it. A :class:`FaultPlan` names exactly which
 ``(experiment, attempt)`` pairs misbehave and how, so a faulted run is
 as reproducible as a clean one: the same plan against the same registry
 produces the same retries, the same counters and (because experiments
@@ -61,12 +64,13 @@ must be dropped and the spill resumed (via :func:`spill_fault_hook`,
 which only fires on fresh spills so the resumed attempt survives).
 
 ``kill-worker``
-    ``SIGKILL`` the block worker; the supervised pool classifies a
-    ``crash``, backs off and retries (``mapreduce_crashes`` /
+    ``SIGKILL`` the block worker; the executor classifies a ``crash``,
+    backs off and retries (``mapreduce_crashes`` /
     ``mapreduce_retries``).
 ``hang-block``
     Sleep ``seconds`` in the worker so the per-block timeout fires
-    (``mapreduce_block_timeouts``).
+    (``mapreduce_block_timeouts``); with no timeout, a speculative
+    duplicate finishes the block (``mapreduce_stragglers``).
 ``corrupt-shard``
     Flip the last byte of one column file of shard ``shard`` in the
     table being mapped. Structural checks still pass but the digest

@@ -41,6 +41,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+from ..core.supervise import Policy
 from ..core.timing import Timings, render_timings
 from .datasets import (
     SCALES,
@@ -51,12 +52,11 @@ from .datasets import (
     reset_dataset_stats,
 )
 from .faults import PLAN_ENV, FaultPlan, plan_from_env
-from .parallel import run_experiments
 from .registry import EXPERIMENTS
 from .supervisor import (
-    SupervisorConfig,
     journal_path,
     load_journal,
+    needs_workers,
     run_id,
     run_supervised,
     write_journal_header,
@@ -428,19 +428,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.environ[PLAN_ENV] = args.fault_plan
     reset_dataset_stats()
 
-    supervised = (
-        args.jobs > 1
-        or args.timeout is not None
-        or args.retries > 0
-        or args.deadline is not None
-        or args.resume is not None
-        or args.fail_fast
-        or plan is not None
+    config = Policy(
+        jobs=args.jobs,
+        timeout=args.timeout,
+        retries=args.retries,
+        deadline=args.deadline,
+        fail_fast=args.fail_fast,
     )
-
     journal = None
     run = None
-    if supervised and cache_dir is not None:
+    if needs_workers(config, plan, completed) and cache_dir is not None:
         run = run_id(ids, scale, seed)
         journal = journal_path(cache_dir, run)
         if args.resume is None:
@@ -452,27 +449,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     timings = Timings()
     with timings.stage("total"):
-        if supervised:
-            outcomes = run_supervised(
-                ids,
-                scale=scale,
-                seed=seed,
-                config=SupervisorConfig(
-                    jobs=args.jobs,
-                    timeout=args.timeout,
-                    retries=args.retries,
-                    deadline=args.deadline,
-                    fail_fast=args.fail_fast,
-                ),
-                timings=timings,
-                plan=plan,
-                journal=journal,
-                completed=completed,
-            )
-        else:
-            outcomes = run_experiments(
-                ids, scale=scale, seed=seed, jobs=args.jobs, timings=timings
-            )
+        outcomes = run_supervised(
+            ids,
+            scale=scale,
+            seed=seed,
+            config=config,
+            timings=timings,
+            plan=plan,
+            journal=journal,
+            completed=completed,
+        )
 
     failures = []
     for outcome in outcomes:

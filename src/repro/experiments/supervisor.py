@@ -3,23 +3,20 @@
 The registry's experiments are pure functions of ``(scale, seed)``, so
 a harness failure — a worker OOM-killed mid-simulation, a hang, a
 corrupted cache entry — never changes *what* the run would produce,
-only *whether* it finishes. This module makes the harness survive those
-failures instead of amplifying them:
+only *whether* it finishes. Experiments are one task kind of the shared
+executor (:mod:`repro.core.supervise`), which owns the worker
+mechanics; this module adds what only experiments have:
 
-* Every attempt runs in its own forked worker process with a one-shot
-  result pipe. A crash or hang therefore has a blast radius of exactly
-  one attempt: there is no shared pool to break, nothing to rebuild,
-  and "requeue only unfinished work" is the only possible behaviour.
+* Attempts run in **forked** workers, so every worker inherits the
+  dataset memo warmed once before the fan-out.
 * Failures are classified — ``crash`` (worker died), ``timeout``
   (exceeded the per-experiment wall-clock budget and was killed),
   ``cache-corruption`` (a typed corruption error surfaced), or
   ``exception`` (the experiment itself raised). The first three are
-  transient and retried with capped exponential backoff; exceptions are
-  deterministic under the purity contract, so retrying them would waste
-  exactly one identical failure per retry and they fail fast instead.
-* Backoff jitter is *seeded*, not sampled from the wall clock: the
-  delay is a pure function of ``(seed, experiment_id, attempt)``
-  (REP501-clean), so a faulted run's retry schedule is reproducible.
+  transient and retried with the executor's seeded backoff; exceptions
+  are deterministic under the purity contract, so retrying them would
+  waste exactly one identical failure per retry and they fail fast
+  instead.
 * Completed outcomes are appended to a fsync'd JSONL journal under the
   cache directory. ``repro-run --resume <run-id>`` replays finished
   experiments from the journal and executes only the rest; because the
@@ -28,6 +25,10 @@ failures instead of amplifying them:
 * An overall run deadline (and ``--fail-fast``) cancels gracefully:
   live workers are terminated, unstarted work is marked ``cancelled``,
   and everything already finished is kept (and journaled).
+
+A run with one job and nothing to supervise — no timeout, retries,
+deadline, fail-fast, fault plan, journal or resume — runs in-process
+with no warm-up and no fork.
 
 Scheduling order never affects output: results are returned in the
 caller's id order, and each rendered result depends only on
@@ -39,18 +40,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
-import time
 import traceback
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 
 from .. import __version__
 from ..core.diskcache import CacheCorruptionError
-from ..core.retry import backoff_delay
+from ..core.fsutil import publish_atomically
+from ..core.supervise import Executor, Policy
 from ..core.timing import Timings
 from . import datasets
 from .faults import FaultPlan
@@ -58,11 +57,10 @@ from .registry import run_experiment
 
 __all__ = [
     "ExperimentOutcome",
-    "SupervisorConfig",
     "TRANSIENT_KINDS",
-    "backoff_delay",
     "journal_path",
     "load_journal",
+    "needs_workers",
     "run_id",
     "run_one",
     "run_supervised",
@@ -73,15 +71,9 @@ __all__ = [
 #: ``exception`` is deterministic under the purity contract and is not.
 TRANSIENT_KINDS = frozenset({"crash", "timeout", "cache-corruption"})
 
-
-def _now() -> float:
-    """Scheduling clock for timeouts/deadlines (observability only).
-
-    Never feeds rendered results — REP501's determinism contract is
-    about outputs, and the supervisor only uses the clock to decide
-    *when* to run work whose *content* is fixed by ``(scale, seed)``.
-    """
-    return time.monotonic()  # reprolint: disable=REP501
+#: First-retry backoff, doubling per attempt up to the cap (seconds).
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 30.0
 
 
 @dataclass
@@ -122,28 +114,6 @@ class ExperimentOutcome:
             attempts=int(entry.get("attempts", 1)),  # type: ignore[arg-type]
             resumed=True,
         )
-
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Fault-tolerance policy for one supervised run."""
-
-    jobs: int = 1
-    #: Per-experiment wall-clock budget; a worker past it is killed and
-    #: the attempt classified ``timeout``. ``None`` disables.
-    timeout: float | None = None
-    #: Extra attempts allowed per experiment for transient failures.
-    retries: int = 0
-    #: Overall run budget; when exceeded, live workers are terminated
-    #: and remaining work is marked ``cancelled``. ``None`` disables.
-    deadline: float | None = None
-    #: First-retry backoff, doubling per attempt up to ``backoff_cap``.
-    backoff_base: float = 0.25
-    backoff_cap: float = 30.0
-    #: Cancel the rest of the run on the first permanent failure.
-    fail_fast: bool = False
-    #: Supervision loop granularity (result/deadline polling).
-    poll_interval: float = 0.05
 
 
 def classify_exception(exc: BaseException) -> str:
@@ -231,7 +201,13 @@ def journal_path(cache_dir: str | Path, run: str) -> Path:
 def write_journal_header(
     path: Path, ids: Sequence[str], scale: str, seed: int
 ) -> None:
-    """Start a fresh journal (truncating any previous run's)."""
+    """Start a fresh journal, replacing any previous run's in one step.
+
+    The header is written to a temp sibling and renamed into place, so
+    a kill at any point leaves either the old journal or the new header,
+    never an empty file that would make ``--resume`` lose the recorded
+    experiment list.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "run": run_id(ids, scale, seed),
@@ -240,10 +216,12 @@ def write_journal_header(
         "seed": seed,
         "version": __version__,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = path.with_suffix(".jsonl.tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
+    publish_atomically(tmp, path, payload_synced=True)
 
 
 def append_journal(path: Path, outcome: ExperimentOutcome) -> None:
@@ -254,7 +232,9 @@ def append_journal(path: Path, outcome: ExperimentOutcome) -> None:
     durable, so a resume re-executes at most the in-flight experiments.
     """
     line = json.dumps(outcome.as_journal_dict(), sort_keys=True)
-    with open(path, "a", encoding="utf-8") as fh:
+    # An append-only log of whole lines: a torn last line is skipped on
+    # load, so appending in place is the durable protocol here.
+    with open(path, "a", encoding="utf-8") as fh:  # reprolint: disable=REP801
         fh.write(line + "\n")
         fh.flush()
         os.fsync(fh.fileno())
@@ -288,7 +268,7 @@ def load_journal(
     return header, completed
 
 
-# -- the supervised executor --------------------------------------------------
+# -- experiments as a task kind of the shared executor ------------------------
 
 
 def _child_main(
@@ -298,60 +278,142 @@ def _child_main(
     seed: int,
     attempt: int,
     plan: FaultPlan | None,
-    cache_dir: str | None,
 ) -> None:
     """Worker entry point: run one attempt, ship the outcome, exit.
 
-    Under fork the dataset memo and cache configuration are inherited;
-    under spawn the cache is reconfigured from ``cache_dir`` (matching
-    targets keep an inherited memo intact).
+    Forked, so the dataset memo and cache configuration are inherited.
     """
     try:
-        current = datasets.dataset_cache()
-        current_dir = str(current.root) if current is not None else None
-        if current_dir != cache_dir:
-            datasets.configure_cache(Path(cache_dir) if cache_dir else None)
-        outcome = run_one(
-            experiment_id, scale, seed, attempt=attempt, plan=plan
-        )
-        conn.send(outcome)
+        conn.send(run_one(experiment_id, scale, seed, attempt=attempt, plan=plan))
     finally:
         conn.close()
 
 
-@dataclass
-class _Running:
-    """Book-keeping for one live worker attempt."""
+class _ExperimentRun(Executor):
+    """One supervised run: journal, resume, deadline and fail-fast."""
 
-    experiment_id: str
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    conn: object  # parent end of the result pipe
-    kill_at: float | None  # monotonic deadline, None = no timeout
+    def __init__(
+        self,
+        scale: str,
+        seed: int,
+        config: Policy,
+        timings: Timings,
+        plan: FaultPlan | None,
+        journal: Path | None,
+    ) -> None:
+        super().__init__(
+            _child_main,
+            method="fork",
+            jobs=config.jobs,
+            timeout=config.timeout,
+            retries=config.retries,
+            deadline=config.deadline,
+            seed=seed,
+            backoff=(BACKOFF_BASE, BACKOFF_CAP),
+        )
+        self.scale = scale
+        self.fail_fast = config.fail_fast
+        self.timings = timings
+        self.plan = plan
+        self.journal = journal
+        self.results: dict[str, ExperimentOutcome] = {}
+        self.cancel_reason: str | None = None
+
+    def args(self, experiment_id, attempt):
+        return (experiment_id, self.scale, self.seed, attempt, self.plan)
+
+    def on_message(self, worker, outcome: ExperimentOutcome) -> None:
+        if (
+            not outcome.ok
+            and outcome.error_kind in TRANSIENT_KINDS
+            and self.retry(worker)
+        ):
+            self.timings.count("retries")
+            self.timings.count("requeued")
+            return
+        self.finish(outcome)
+        if not outcome.ok and self.fail_fast:
+            self.cancel_reason = (
+                f"fail-fast after {outcome.experiment_id} failed "
+                f"({outcome.error_kind})"
+            )
+
+    def on_failure(self, worker, kind: str) -> None:
+        if kind == "crash":
+            self.timings.count("worker_crashes")
+            error = (
+                f"worker for {worker.key} died with exit code "
+                f"{worker.process.exitcode} (attempt {worker.attempt})"
+            )
+        else:
+            self.timings.count("experiment_timeouts")
+            error = (
+                f"experiment {worker.key} exceeded its {self.timeout:.1f}s "
+                f"timeout (attempt {worker.attempt}); worker killed"
+                if self.timeout is not None
+                else f"experiment {worker.key} killed at the run deadline "
+                f"(attempt {worker.attempt})"
+            )
+        self.on_message(
+            worker,
+            ExperimentOutcome(
+                experiment_id=worker.key,
+                ok=False,
+                error=error,
+                error_kind=kind,
+                attempts=worker.attempt,
+            ),
+        )
+
+    def finish(self, outcome: ExperimentOutcome) -> None:
+        self.results[outcome.experiment_id] = outcome
+        self.timings.merge(outcome.timings)
+        if self.journal is not None and outcome.error_kind != "cancelled":
+            append_journal(self.journal, outcome)
+
+    def stop(self) -> bool:
+        """Cancel everything left at the run deadline or on fail-fast."""
+        if self.past_deadline():
+            reason = "run deadline exceeded"
+        elif self.cancel_reason is not None:
+            reason = self.cancel_reason
+        else:
+            return False
+        left = [(w.key, w.attempt) for w in self.running] + [
+            (item.key, max(1, item.attempt - 1)) for item in self.pending
+        ]
+        self.reap()
+        self.pending.clear()
+        for experiment_id, attempts in left:
+            self.finish(
+                ExperimentOutcome(
+                    experiment_id=experiment_id,
+                    ok=False,
+                    error=f"cancelled: {reason}",
+                    error_kind="cancelled",
+                    attempts=attempts,
+                )
+            )
+            self.timings.count("cancelled")
+        return True
 
 
-@dataclass
-class _Pending:
-    """An attempt waiting for a worker slot (possibly in backoff)."""
-
-    experiment_id: str
-    attempt: int = 1
-    eligible_at: float = 0.0  # monotonic time before which it must wait
-
-
-def _terminate(worker: _Running) -> None:
-    """Stop a live worker, escalating SIGTERM -> SIGKILL."""
-    process = worker.process
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=1.0)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=5.0)
-    try:
-        worker.conn.close()  # type: ignore[attr-defined]
-    except OSError:
-        pass
+def needs_workers(
+    config: Policy,
+    plan: FaultPlan | None,
+    completed: Mapping[str, ExperimentOutcome] | None,
+) -> bool:
+    """Whether a run is supervised: more than one job, a fault-tolerance
+    setting, a fault plan, or a resume."""
+    return (
+        config.jobs > 1
+        or config.timeout is not None
+        or config.retries > 0
+        or config.deadline is not None
+        or config.fail_fast
+        or plan is not None
+        or completed is not None
+    )
 
 
 def run_supervised(
@@ -359,253 +421,53 @@ def run_supervised(
     *,
     scale: str = "paper",
     seed: int = 0,
-    config: SupervisorConfig | None = None,
+    config: Policy | None = None,
     timings: Timings | None = None,
     plan: FaultPlan | None = None,
     journal: Path | None = None,
     completed: Mapping[str, ExperimentOutcome] | None = None,
 ) -> list[ExperimentOutcome]:
-    """Run experiments under supervision; returns outcomes in id order.
+    """Run experiments; returns outcomes in id order.
 
     ``completed`` holds journal-loaded outcomes from an interrupted
     run: successful ones are served as-is (marked ``resumed``), failed
     ones are re-executed. When ``journal`` is given, every finished
-    outcome is checkpointed there as it completes.
+    outcome is checkpointed there as it completes. The warm-up stage,
+    every experiment's stages and the dataset counters are folded into
+    ``timings``.
     """
-    config = config if config is not None else SupervisorConfig()
+    config = config if config is not None else Policy()
     timings = timings if timings is not None else Timings()
     parent_before = dict(datasets.dataset_stats())
 
-    results: dict[str, ExperimentOutcome] = {}
-    pending: list[_Pending] = []
-    for experiment_id in ids:
-        previous = (completed or {}).get(experiment_id)
-        if previous is not None and previous.ok:
-            results[experiment_id] = previous
-            timings.count("resumed")
-        else:
-            pending.append(_Pending(experiment_id))
+    if not needs_workers(config, plan, completed) and journal is None:
+        outcomes = [run_one(experiment_id, scale, seed) for experiment_id in ids]
+        # Per-experiment counter deltas already accumulate in this
+        # process's dataset stats (merged below); only stages here.
+        for outcome in outcomes:
+            timings.merge(outcome.timings, counters=False)
+    else:
+        resumed: dict[str, ExperimentOutcome] = {}
+        for experiment_id in ids:
+            previous = (completed or {}).get(experiment_id)
+            if previous is not None and previous.ok:
+                resumed[experiment_id] = previous
+                timings.count("resumed")
+        todo = [i for i in ids if i not in resumed]
+        if todo:
+            with timings.stage("warm-datasets"):
+                warm_datasets(scale, seed)
+        # Built after the warm-up, so the run deadline starts here.
+        run = _ExperimentRun(scale, seed, config, timings, plan, journal)
+        run.results.update(resumed)
+        for experiment_id in todo:
+            run.submit(experiment_id)
+        run.run()
+        outcomes = [run.results[experiment_id] for experiment_id in ids]
 
-    if pending:
-        with timings.stage("warm-datasets"):
-            warm_datasets(scale, seed)
-
-    cache = datasets.dataset_cache()
-    cache_dir = str(cache.root) if cache is not None else None
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
-
-    run_deadline = (
-        _now() + config.deadline if config.deadline is not None else None
-    )
-    running: list[_Running] = []
-    cancel_reason: str | None = None
-
-    def finalize(outcome: ExperimentOutcome) -> None:
-        results[outcome.experiment_id] = outcome
-        timings.merge(outcome.timings)
-        if journal is not None and outcome.error_kind != "cancelled":
-            append_journal(journal, outcome)
-
-    def schedule_retry(item: _Pending, outcome: ExperimentOutcome) -> bool:
-        """Requeue a transient failure; False when retries are spent."""
-        if (
-            outcome.error_kind not in TRANSIENT_KINDS
-            or item.attempt > config.retries
-        ):
-            return False
-        delay = backoff_delay(
-            seed,
-            item.experiment_id,
-            item.attempt,
-            base=config.backoff_base,
-            cap=config.backoff_cap,
-        )
-        pending.append(
-            _Pending(
-                experiment_id=item.experiment_id,
-                attempt=item.attempt + 1,
-                eligible_at=_now() + delay,
-            )
-        )
-        timings.count("retries")
-        timings.count("requeued")
-        return True
-
-    def cancel_remaining(reason: str) -> None:
-        for worker in running:
-            _terminate(worker)
-            finalize(
-                ExperimentOutcome(
-                    experiment_id=worker.experiment_id,
-                    ok=False,
-                    error=f"cancelled: {reason}",
-                    error_kind="cancelled",
-                    attempts=worker.attempt,
-                )
-            )
-            timings.count("cancelled")
-        running.clear()
-        for item in pending:
-            finalize(
-                ExperimentOutcome(
-                    experiment_id=item.experiment_id,
-                    ok=False,
-                    error=f"cancelled: {reason}",
-                    error_kind="cancelled",
-                    attempts=max(1, item.attempt - 1),
-                )
-            )
-            timings.count("cancelled")
-        pending.clear()
-
-    while pending or running:
-        now = _now()
-        if run_deadline is not None and now >= run_deadline:
-            cancel_remaining("run deadline exceeded")
-            break
-        if cancel_reason is not None:
-            cancel_remaining(cancel_reason)
-            break
-
-        # Launch eligible work into free slots.
-        launchable = [
-            item for item in pending if item.eligible_at <= now
-        ]
-        while launchable and len(running) < max(1, config.jobs):
-            item = launchable.pop(0)
-            pending.remove(item)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_child_main,
-                args=(
-                    child_conn,
-                    item.experiment_id,
-                    scale,
-                    seed,
-                    item.attempt,
-                    plan,
-                    cache_dir,
-                ),
-            )
-            process.start()
-            child_conn.close()
-            kill_at = (
-                now + config.timeout if config.timeout is not None else None
-            )
-            if run_deadline is not None:
-                kill_at = (
-                    run_deadline if kill_at is None else min(kill_at, run_deadline)
-                )
-            running.append(
-                _Running(
-                    experiment_id=item.experiment_id,
-                    attempt=item.attempt,
-                    process=process,
-                    conn=parent_conn,
-                    kill_at=kill_at,
-                )
-            )
-
-        if not running:
-            # Everything pending is in backoff; sleep until the nearest
-            # retry becomes eligible (bounded by the poll interval floor
-            # and the run deadline).
-            if pending:
-                wake = min(item.eligible_at for item in pending)
-                sleep_s = max(config.poll_interval, wake - _now())
-                if run_deadline is not None:
-                    sleep_s = min(sleep_s, max(0.0, run_deadline - _now()))
-                time.sleep(sleep_s)
-            continue
-
-        # Wait until a worker reports, dies, or a deadline needs checking.
-        waitables = [worker.conn for worker in running] + [
-            worker.process.sentinel for worker in running
-        ]
-        timeout = config.poll_interval
-        kill_ats = [w.kill_at for w in running if w.kill_at is not None]
-        if kill_ats:
-            timeout = max(0.0, min(min(kill_ats) - _now(), timeout))
-        _connection_wait(waitables, timeout=timeout)
-
-        still_running: list[_Running] = []
-        for worker in running:
-            item = _Pending(worker.experiment_id, worker.attempt)
-            outcome: ExperimentOutcome | None = None
-            if worker.conn.poll():  # type: ignore[attr-defined]
-                try:
-                    outcome = worker.conn.recv()  # type: ignore[attr-defined]
-                except (EOFError, OSError):
-                    outcome = None  # died mid-send: treat as a crash
-            if outcome is not None:
-                worker.process.join()
-                worker.conn.close()  # type: ignore[attr-defined]
-                if outcome.ok or not schedule_retry(item, outcome):
-                    finalize(outcome)
-                    if not outcome.ok and config.fail_fast:
-                        cancel_reason = (
-                            f"fail-fast after {outcome.experiment_id} "
-                            f"failed ({outcome.error_kind})"
-                        )
-                continue
-            if not worker.process.is_alive():
-                worker.process.join()
-                worker.conn.close()  # type: ignore[attr-defined]
-                code = worker.process.exitcode
-                timings.count("worker_crashes")
-                crashed = ExperimentOutcome(
-                    experiment_id=worker.experiment_id,
-                    ok=False,
-                    error=(
-                        f"worker for {worker.experiment_id} died with exit "
-                        f"code {code} (attempt {worker.attempt})"
-                    ),
-                    error_kind="crash",
-                    attempts=worker.attempt,
-                )
-                if not schedule_retry(item, crashed):
-                    finalize(crashed)
-                    if config.fail_fast:
-                        cancel_reason = (
-                            f"fail-fast after {worker.experiment_id} "
-                            "failed (crash)"
-                        )
-                continue
-            if worker.kill_at is not None and _now() >= worker.kill_at:
-                _terminate(worker)
-                timings.count("experiment_timeouts")
-                timed_out = ExperimentOutcome(
-                    experiment_id=worker.experiment_id,
-                    ok=False,
-                    error=(
-                        f"experiment {worker.experiment_id} exceeded its "
-                        f"{config.timeout:.1f}s timeout "
-                        f"(attempt {worker.attempt}); worker killed"
-                    )
-                    if config.timeout is not None
-                    else (
-                        f"experiment {worker.experiment_id} killed at the "
-                        f"run deadline (attempt {worker.attempt})"
-                    ),
-                    error_kind="timeout",
-                    attempts=worker.attempt,
-                )
-                if not schedule_retry(item, timed_out):
-                    finalize(timed_out)
-                    if config.fail_fast:
-                        cancel_reason = (
-                            f"fail-fast after {worker.experiment_id} "
-                            "failed (timeout)"
-                        )
-                continue
-            still_running.append(worker)
-        running = still_running
-
-    # Run-level counters: the parent's warm-up traffic plus each
-    # worker's own deltas (carried in the outcomes' timings).
+    # Run-level counters: the parent's own traffic (the warm-up, or
+    # every in-process experiment) plus each worker's deltas (carried
+    # in the outcomes' timings).
     parent_after = datasets.dataset_stats()
     timings.merge_counts(
         {
@@ -613,4 +475,4 @@ def run_supervised(
             for name in parent_after
         }
     )
-    return [results[experiment_id] for experiment_id in ids]
+    return outcomes

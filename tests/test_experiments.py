@@ -322,3 +322,80 @@ class TestOutOfCoreChaos:
         assert stats["mapreduce_retries"] >= 1
         assert stats["shards_quarantined"] >= 1
         assert stats["shards_rederived"] >= 1
+
+
+def _slow_table():
+    import time
+
+    from repro.core.table import Table
+
+    time.sleep(0.5)  # both processes miss the cache before either publishes
+    return Table({"x": np.arange(50_000, dtype=np.float64)})
+
+
+def _spill_into(cache_dir):
+    """Forked-process entry: spill one sharded table into a shared cache."""
+    from repro.experiments import datasets
+
+    datasets.configure_cache(cache_dir)
+    datasets._sharded_build("race-shards", {"rows": 50_000}, _slow_table, 500)
+
+
+class TestShardedCacheRecovery:
+    """Cold sharded cache entries survive concurrent spills and damage."""
+
+    def test_concurrent_cold_spills_publish_one_entry(self, tmp_path):
+        import multiprocessing
+
+        from repro.core.diskcache import DiskCache
+        from repro.core.shard import ShardedTable
+
+        ctx = multiprocessing.get_context("fork")
+        workers = [
+            ctx.Process(target=_spill_into, args=(tmp_path,)) for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(120)
+        assert [w.exitcode for w in workers] == [0, 0]
+        cache = DiskCache(tmp_path)
+        keys = cache.entries()
+        assert len(keys) == 1
+        table = ShardedTable.open(cache.get_path(keys[0]), verify="full")
+        np.testing.assert_array_equal(
+            table.to_table()["x"], np.arange(50_000, dtype=np.float64)
+        )
+
+    @pytest.mark.parametrize("damage", ["delete", "truncate"])
+    def test_damaged_manifest_heals(self, results, tmp_path, damage):
+        from pathlib import Path
+
+        from repro.experiments import datasets
+
+        datasets.configure_cache(tmp_path)
+        datasets.configure_backend(
+            datasets.BackendSpec(name="sharded", shard_rows=4096)
+        )
+        try:
+            run_experiment("fig3", scale="small", seed=0)
+            manifest = (
+                Path(datasets.sharded_google_jobs("small", 0, 4096))
+                / "manifest.json"
+            )
+            if damage == "delete":
+                manifest.unlink()
+            else:
+                text = manifest.read_text()
+                manifest.write_text(text[: len(text) // 2])
+            datasets.configure_cache(tmp_path)  # a new run: memos dropped
+            datasets.reset_dataset_stats()
+            rendered = run_experiment("fig3", scale="small", seed=0).render()
+            stats = datasets.dataset_stats()
+        finally:
+            datasets.configure_backend(None)
+            datasets.configure_cache(None)
+            datasets.reset_dataset_stats()
+        assert rendered == results["fig3"].render()
+        assert stats["shards_quarantined"] == 1
+        assert stats["shards_rederived"] == 1

@@ -20,8 +20,8 @@ from repro.core.kernels import (
     merge_run_lengths,
     run_length_encode,
 )
+from repro.core import mapreduce, supervise
 from repro.core.mapreduce import (
-    MapReduceConfig,
     MapReduceError,
     map_reduce,
     map_shards,
@@ -29,6 +29,7 @@ from repro.core.mapreduce import (
 )
 from repro.core.masscount import mass_count
 from repro.core.shard import ShardedTable, ShardIntegrityError
+from repro.core.supervise import Policy
 from repro.core.timing import Timings
 from repro.core.segments import LevelRunAccumulator, level_durations
 from repro.core.shard import write_table
@@ -244,11 +245,13 @@ def _boom_kernel(shard):
     raise ValueError("boom")
 
 
-_FAST = dict(backoff_base=0.001, backoff_cap=0.01)
-
-
 class TestSupervision:
     """Crash/timeout/error/corruption handling in the spawn pool."""
+
+    @pytest.fixture(autouse=True)
+    def _fast_backoff(self, monkeypatch):
+        monkeypatch.setattr(mapreduce, "BACKOFF_BASE", 0.001)
+        monkeypatch.setattr(mapreduce, "BACKOFF_CAP", 0.01)
 
     def _sharded(self, tmp_path, n=60, rows=5, name="t"):
         values = _sample(n, seed=17)
@@ -263,7 +266,7 @@ class TestSupervision:
             sharded,
             _sum_kernel,
             jobs=2,
-            config=MapReduceConfig(**_FAST),
+            config=Policy(retries=2),
             inject=_KillOnce(block=1),
             timings=timings,
         )
@@ -272,14 +275,15 @@ class TestSupervision:
         assert timings.counters["mapreduce_retries"] >= 1
         assert timings.counters["mapreduce_respawns"] >= 1
 
-    def test_hung_block_killed_and_retried(self, tmp_path):
+    def test_hung_block_killed_and_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(supervise, "POLL_INTERVAL", 0.02)
         values, sharded = self._sharded(tmp_path, n=20, rows=5)
         timings = Timings()
         got = map_shards(
             sharded,
             _sum_kernel,
             jobs=2,
-            config=MapReduceConfig(timeout=1.0, poll_interval=0.02, **_FAST),
+            config=Policy(timeout=1.0, retries=2),
             inject=_HangOnce(block=0),
             timings=timings,
         )
@@ -293,28 +297,30 @@ class TestSupervision:
                 sharded,
                 _boom_kernel,
                 jobs=2,
-                config=MapReduceConfig(**_FAST),
+                config=Policy(retries=2),
             )
 
-    def test_retries_exhausted_falls_back_inline(self, tmp_path):
+    def test_retries_exhausted_falls_back_inline(self, tmp_path, monkeypatch):
         # A block whose worker dies on every attempt must still finish
         # (inline in the parent), not loop or raise.
+        monkeypatch.setattr(mapreduce, "DEGRADE_AFTER", 100)
         values, sharded = self._sharded(tmp_path, n=30, rows=5)
         timings = Timings()
         got = map_shards(
             sharded,
             _sum_kernel,
             jobs=2,
-            config=MapReduceConfig(retries=1, degrade_after=100, **_FAST),
+            config=Policy(retries=1),
             inject=_AlwaysKill(),
             timings=timings,
         )
         assert got == map_shards(sharded, _sum_kernel)
         assert timings.counters["mapreduce_inline"] >= 1
 
-    def test_circuit_breaker_degrades_pool(self, tmp_path):
+    def test_circuit_breaker_degrades_pool(self, tmp_path, monkeypatch):
         # Enough transient failures trip the breaker: the remaining
         # blocks run inline in index order and the fold stays exact.
+        monkeypatch.setattr(mapreduce, "DEGRADE_AFTER", 1)
         values, sharded = self._sharded(tmp_path, n=60, rows=4)
         timings = Timings()
         serial = map_reduce(sharded, _ecdf_kernel).finalize()
@@ -322,7 +328,7 @@ class TestSupervision:
             sharded,
             _ecdf_kernel,
             jobs=3,
-            config=MapReduceConfig(retries=0, degrade_after=1, **_FAST),
+            config=Policy(retries=0),
             inject=_AlwaysKill(),
             timings=timings,
         ).finalize()
@@ -356,7 +362,7 @@ class TestSupervision:
                 ShardedTable.open(sharded.root, verify="lazy"),
                 _sum_kernel,
                 jobs=jobs,
-                config=MapReduceConfig(**_FAST),
+                config=Policy(retries=2),
                 heal=heal,
             )
             assert got == want, jobs
@@ -375,10 +381,11 @@ class TestSupervision:
                     table,
                     _sum_kernel,
                     jobs=jobs,
-                    config=MapReduceConfig(**_FAST),
+                    config=Policy(retries=2),
                 )
 
-    def test_heal_attempts_are_capped(self, tmp_path):
+    def test_heal_attempts_are_capped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mapreduce, "MAX_HEALS", 2)
         values, sharded = self._sharded(tmp_path, n=20, rows=5)
         victim = sharded.root / "shard-00001" / "x.npy"
         data = bytearray(victim.read_bytes())
@@ -395,15 +402,37 @@ class TestSupervision:
                 ShardedTable.open(sharded.root, verify="lazy"),
                 _sum_kernel,
                 jobs=2,
-                config=MapReduceConfig(max_heals=2, **_FAST),
+                config=Policy(retries=2),
                 heal=bad_heal,
             )
         assert len(calls) == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            MapReduceConfig(timeout=0.0)
+            Policy(timeout=0.0)
         with pytest.raises(ValueError):
-            MapReduceConfig(retries=-1)
+            Policy(retries=-1)
         with pytest.raises(ValueError):
-            MapReduceConfig(verify="paranoid")
+            Policy(verify="paranoid")
+
+    def test_hung_block_finished_by_straggler_duplicate(
+        self, tmp_path, monkeypatch
+    ):
+        # With no block timeout, only the speculative duplicate can
+        # finish a hung block: it must win, and the hung sibling die.
+        monkeypatch.setattr(mapreduce, "STRAGGLER_FACTOR", 1.0)
+        monkeypatch.setattr(mapreduce, "STRAGGLER_FLOOR", 0.2)
+        values, sharded = self._sharded(tmp_path, n=20, rows=5)
+        timings = Timings()
+        serial = map_reduce(sharded, _ecdf_kernel).finalize()
+        got = map_reduce(
+            sharded,
+            _ecdf_kernel,
+            jobs=2,
+            inject=_HangOnce(block=1),
+            timings=timings,
+        ).finalize()
+        np.testing.assert_array_equal(got.values, serial.values)
+        np.testing.assert_array_equal(got.probabilities, serial.probabilities)
+        assert timings.counters["mapreduce_stragglers"] == 1
+        assert timings.counters.get("mapreduce_block_timeouts", 0) == 0

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.supervise import Policy
 from repro.core.timing import Timings
 from repro.experiments import datasets
-from repro.experiments.parallel import run_experiments, warm_datasets
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import main as runner_main
+from repro.experiments.supervisor import run_supervised, warm_datasets
 
 
 @pytest.fixture
@@ -85,8 +86,10 @@ class TestSerialParallelEquivalence:
     def test_full_registry_byte_identical(self, cache_dir):
         datasets.configure_cache(cache_dir)
         ids = list(EXPERIMENTS)
-        serial = run_experiments(ids, scale="small", seed=0, jobs=1)
-        parallel = run_experiments(ids, scale="small", seed=0, jobs=2)
+        serial = run_supervised(ids, scale="small", seed=0)
+        parallel = run_supervised(
+            ids, scale="small", seed=0, config=Policy(jobs=2)
+        )
         assert [o.experiment_id for o in serial] == ids
         assert [o.experiment_id for o in parallel] == ids
         assert all(o.ok for o in serial)
@@ -100,7 +103,7 @@ class TestSerialParallelEquivalence:
 
         monkeypatch.setitem(EXPERIMENTS, "fig2", boom)
         datasets.configure_cache(None)
-        outcomes = run_experiments(["fig2", "fig4"], scale="small", seed=0)
+        outcomes = run_supervised(["fig2", "fig4"], scale="small", seed=0)
         assert not outcomes[0].ok
         assert "synthetic failure" in outcomes[0].error
         assert outcomes[1].ok
@@ -108,9 +111,7 @@ class TestSerialParallelEquivalence:
     def test_timings_collected(self, cache_dir):
         datasets.configure_cache(cache_dir)
         timings = Timings()
-        run_experiments(
-            ["fig4"], scale="small", seed=0, jobs=1, timings=timings
-        )
+        run_supervised(["fig4"], scale="small", seed=0, timings=timings)
         assert "run:fig4" in timings.stages
         assert "render:fig4" in timings.stages
         assert timings.counters.get("workload_builds", 0) >= 0
@@ -177,6 +178,10 @@ class TestRunnerCli:
         assert report["experiments"][0]["wall_s"] > 0
         assert report["counters"]["workload_builds"] == 1
         assert "run:fig4" in report["stages"]
+        # --jobs 1 with no supervision flag runs in-process: no warm-up
+        # pass before a fan-out, and no checkpoint journal.
+        assert "warm-datasets" not in report["stages"]
+        assert not (cache_dir / "runs").exists()
 
     def test_second_cli_run_is_warm(self, capsys, tmp_path, cache_dir):
         report_path = tmp_path / "timing2.json"

@@ -1,4 +1,4 @@
-"""Fault-matrix tests for the supervised executor (repro.experiments.supervisor).
+"""Fault-matrix tests for supervised experiments (repro.experiments.supervisor).
 
 The expensive process-level scenarios share one module-scoped warm
 cache so every supervised run starts from disk hits instead of
@@ -15,17 +15,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.supervise import Policy, backoff_delay
 from repro.core.timing import Timings
-from repro.experiments import datasets
+from repro.experiments import datasets, supervisor
 from repro.experiments.faults import FaultPlan
-from repro.experiments.parallel import run_experiments
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import main as runner_main
 from repro.experiments.supervisor import (
     ExperimentOutcome,
-    SupervisorConfig,
     append_journal,
-    backoff_delay,
     journal_path,
     load_journal,
     run_id,
@@ -104,7 +102,10 @@ class TestJournal:
 
 
 class TestFaultRecovery:
-    def test_kill_hang_and_corruption_recover_byte_identically(self, cache):
+    def test_kill_hang_and_corruption_recover_byte_identically(
+        self, cache, monkeypatch
+    ):
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.05)
         ids = ["fig4", "fig7", "tab1", "txt1"]
         plan = FaultPlan.from_obj(
             [
@@ -118,15 +119,13 @@ class TestFaultRecovery:
                 {"experiment_id": "tab1", "attempt": 1, "kind": "corrupt-cache"},
             ]
         )
-        clean = run_experiments(ids, scale="small", seed=0, jobs=1)
+        clean = run_supervised(ids, scale="small", seed=0)
         timings = Timings()
         faulted = run_supervised(
             ids,
             scale="small",
             seed=0,
-            config=SupervisorConfig(
-                jobs=2, timeout=10.0, retries=2, backoff_base=0.05
-            ),
+            config=Policy(jobs=2, timeout=10.0, retries=2),
             timings=timings,
             plan=plan,
         )
@@ -150,12 +149,13 @@ class TestFaultRecovery:
             raise RuntimeError("deterministic failure")
 
         monkeypatch.setitem(EXPERIMENTS, "fig2", boom)
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.01)
         timings = Timings()
         outcomes = run_supervised(
             ["fig2", "fig4"],
             scale="small",
             seed=0,
-            config=SupervisorConfig(jobs=1, retries=2, backoff_base=0.01),
+            config=Policy(jobs=1, retries=2),
             timings=timings,
         )
         assert not outcomes[0].ok
@@ -165,7 +165,10 @@ class TestFaultRecovery:
         assert outcomes[1].ok
         assert timings.counters.get("retries", 0) == 0
 
-    def test_exhausted_retries_fail_without_sinking_the_run(self, cache):
+    def test_exhausted_retries_fail_without_sinking_the_run(
+        self, cache, monkeypatch
+    ):
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.01)
         plan = FaultPlan.from_obj(
             [
                 {"experiment_id": "fig4", "attempt": n, "kind": "exit"}
@@ -177,7 +180,7 @@ class TestFaultRecovery:
             ["fig4", "tab1"],
             scale="small",
             seed=0,
-            config=SupervisorConfig(jobs=2, retries=2, backoff_base=0.01),
+            config=Policy(jobs=2, retries=2),
             timings=timings,
             plan=plan,
         )
@@ -198,7 +201,7 @@ class TestFaultRecovery:
             ["fig2", "fig4"],
             scale="small",
             seed=0,
-            config=SupervisorConfig(jobs=1, fail_fast=True),
+            config=Policy(jobs=1, fail_fast=True),
             timings=timings,
         )
         assert outcomes[0].error_kind == "exception"
@@ -214,7 +217,7 @@ class TestFaultRecovery:
             ["fig4"],
             scale="small",
             seed=0,
-            config=SupervisorConfig(jobs=1, deadline=2.0),
+            config=Policy(jobs=1, deadline=2.0),
             plan=plan,
         )
         assert time.monotonic() - start < 60
@@ -233,7 +236,7 @@ class TestResumeAfterKill:
 
         datasets.configure_cache(warm_cache)
         datasets.reset_dataset_stats()
-        serial = run_experiments(ids, scale="small", seed=0, jobs=1)
+        serial = run_supervised(ids, scale="small", seed=0)
         assert all(o.ok for o in serial)
         expected_stdout = "".join(o.rendered + "\n\n" for o in serial)
 
