@@ -23,11 +23,11 @@ Flagging happens *at the shipping site* — where the fix belongs —
 rather than at the definition, which is often fine on its own.
 
 The failure is especially sharp under the spawn start method (the
-default on macOS/Windows, and what the ROADMAP's out-of-core
-map-reduce will use): fork can sometimes smuggle unpicklable state
-through copy-on-write, so code that "works on Linux" breaks the moment
-the start method changes. This rule makes the property hold statically
-everywhere.
+default on macOS/Windows) and the forkserver one (how the out-of-core
+map-reduce starts its block workers): fork can sometimes smuggle
+unpicklable state through copy-on-write, so code that "works on Linux"
+breaks the moment the start method changes. This rule makes the
+property hold statically everywhere.
 """
 
 from __future__ import annotations

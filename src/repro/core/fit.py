@@ -8,6 +8,10 @@ AIC-based model selection. The fitted shapes can be fed straight back
 into :mod:`repro.core.distributions` (the sampling toolkit used by
 :mod:`repro.synth`) to close the loop between characterization and
 synthesis.
+
+SciPy is imported inside the three fitters that call it, so processes
+that import :mod:`repro.core` but never fit (entry processes, block
+workers, ``repro-lint``) do not pay for importing it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
 from .distributions import (
     BoundedPareto,
@@ -103,6 +106,8 @@ def fit_exponential(sample: np.ndarray) -> FittedModel:
 
 def fit_lognormal(sample: np.ndarray) -> FittedModel:
     """MLE lognormal fit in log space."""
+    from scipy import stats
+
     sample = _check_sample(sample)
     logs = np.log(sample)
     mu = float(logs.mean())
@@ -128,6 +133,8 @@ def fit_lognormal(sample: np.ndarray) -> FittedModel:
 
 def fit_weibull(sample: np.ndarray) -> FittedModel:
     """MLE Weibull fit via scipy (location fixed at 0)."""
+    from scipy import stats
+
     sample = _check_sample(sample)
     shape, _loc, scale = stats.weibull_min.fit(sample, floc=0.0)
     dist = stats.weibull_min(c=shape, scale=scale)
@@ -150,6 +157,8 @@ def fit_bounded_pareto(sample: np.ndarray) -> FittedModel:
     and alpha maximized numerically — the textbook estimator for
     truncated power laws.
     """
+    from scipy import optimize
+
     sample = _check_sample(sample)
     low = float(sample.min())
     high = float(sample.max())

@@ -22,10 +22,13 @@ Blocks are one task kind of the shared executor
 (:mod:`repro.core.supervise`), which owns the worker mechanics: a
 one-shot process per attempt, waits on result pipes and sentinels
 together, a kill at the per-block timeout, seeded-backoff retries.
-Block workers **spawn**, so nothing is smuggled through fork
-copy-on-write: the kernel and every argument cross a real pickle
-boundary (repro-lint REP303) and workers touch no module-level state
-(REP103). Failures are classified:
+Block workers fork from a **forkserver** that each pass starts with
+this module and the kernel's module preloaded, so an attempt costs a
+fork, not an interpreter start. They never fork from the caller, so
+nothing is smuggled through copy-on-write: the kernel and every
+argument cross a real pickle boundary into fresh module state
+(repro-lint REP303) and workers touch no module-level state (REP103).
+Failures are classified:
 
 ``crash`` / ``timeout``
     Transient. The block is retried up to ``retries`` extra attempts,
@@ -44,9 +47,12 @@ boundary (repro-lint REP303) and workers touch no module-level state
     Any other exception is deterministic under the kernel-purity
     contract; it fails fast as :class:`MapReduceError`.
 
-Stragglers: once at least half the blocks have finished, a block
-running far past the median block time (:data:`STRAGGLER_FACTOR`) gets
-a speculative duplicate; the first result wins and the loser is killed.
+Stragglers: in a pass with no per-block timeout, once at least half
+the blocks have finished, a block running far past the median block
+time (:data:`STRAGGLER_FACTOR`) gets a speculative duplicate; the first
+result wins and the loser is killed. A configured timeout owns hung
+attempts instead, so which mechanism ends one never depends on how fast
+workers start.
 
 Recovery counters (``mapreduce_retries``, ``mapreduce_crashes``,
 ``mapreduce_block_timeouts``, ``mapreduce_respawns``,
@@ -240,7 +246,8 @@ class _BlockRun(Executor):
     ) -> None:
         super().__init__(
             _block_main,
-            method="spawn",
+            method="forkserver",
+            preload=(__name__, getattr(kernel, "__module__", None) or __name__),
             jobs=jobs,
             timeout=config.timeout,
             retries=config.retries,
@@ -319,7 +326,11 @@ class _BlockRun(Executor):
         return True
 
     def speculate(self) -> None:
-        if self.pending or len(self.durations) < max(1, len(self.blocks) // 2):
+        if (
+            self.timeout is not None  # the timeout owns hung attempts
+            or self.pending
+            or len(self.durations) < max(1, len(self.blocks) // 2)
+        ):
             return
         median = sorted(self.durations)[len(self.durations) // 2]
         threshold = max(STRAGGLER_FLOOR, STRAGGLER_FACTOR * median)

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import sys
 import time
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
+from multiprocessing import forkserver
 from multiprocessing.connection import wait
 
 from .shard import VERIFY_MODES
@@ -141,6 +143,25 @@ class _Running:
     kill_at: float | None  # monotonic deadline, None = no timeout
 
 
+def _start_forkserver(preload: Sequence[str]) -> None:
+    """Start this process's forkserver with ``preload`` imported in it.
+
+    The main module is left out by name: every worker re-runs it in
+    ``prepare()`` through runpy, which warns when it is already loaded.
+    """
+    main = getattr(sys.modules["__main__"].__spec__, "name", None)
+    forkserver.set_forkserver_preload(
+        [name for name in preload if name not in ("__main__", main)]
+    )
+    forkserver.ensure_running()
+
+
+def _stop_forkserver() -> None:
+    """Stop the forkserver and reap it with ``waitpid``."""
+    # CPython 3.10-3.13 has no public stop; this is the one its tests use.
+    forkserver._forkserver._stop()
+
+
 def _terminate(worker: _Running) -> None:
     """Stop a worker if it still runs (SIGTERM, then SIGKILL) and reap it."""
     process = worker.process
@@ -168,6 +189,26 @@ class Executor:
     identify tasks; several attempts of one key may run at once. A kind
     reads the clock only through :meth:`past_deadline` and
     :meth:`elapsed`.
+
+    With ``method="forkserver"`` the executor owns a forkserver for
+    exactly one pass: :meth:`run` starts it with ``preload`` imported
+    before the first launch, and stops and reaps it after every worker
+    is reaped, however the pass ends. Each attempt then costs a fork of
+    a process that has imported the worker's modules but holds none of
+    the caller's state. Why the server lives for one pass and no
+    longer:
+
+    * A forked experiment worker cannot reuse its parent's server:
+      CPython 3.10-3.13 ``ensure_running`` calls ``waitpid`` on a
+      process that is not its child and raises ``ChildProcessError``.
+    * A stop at process exit never runs in an experiment worker, which
+      is SIGTERMed right after it reports; the server would leak, and
+      the CPU of every block worker with it.
+    * A server started with the pass sees the current ``REPRO_*``
+      environment, which its workers inherit from it.
+    * CPython's forkserver never preloads ``__main__``, so each worker
+      re-runs the main module in ``prepare()``; that is cheap only once
+      the main module's imports are preloaded.
     """
 
     def __init__(
@@ -181,8 +222,10 @@ class Executor:
         seed: int,
         backoff: tuple[float, float],
         deadline: float | None = None,
+        preload: Sequence[str] = (),
     ) -> None:
         self._ctx = multiprocessing.get_context(method)
+        self._preload = tuple(preload)
         self._target = target
         self.jobs = jobs
         self.timeout = timeout
@@ -282,7 +325,10 @@ class Executor:
 
     def run(self) -> None:
         """Schedule, wait and dispatch until no attempt is left."""
+        server = self._ctx.get_start_method() == "forkserver"
         try:
+            if server:
+                _start_forkserver(self._preload)
             while self.pending or self.running:
                 if self.stop():
                     break
@@ -309,6 +355,8 @@ class Executor:
                 self._dispatch()
         finally:
             self.reap()
+            if server:
+                _stop_forkserver()
 
     def _wait(self) -> None:
         """Block until a worker reports or dies, or a deadline is due."""

@@ -564,8 +564,8 @@ def _bench_sharded_hostload(
     exactly as it is in production.
 
     ``sharded_hostload_pool`` (paper scale only) folds the same kernel
-    through the spawn pool with 4 workers. On a single-core host the
-    entry honestly records interpreter spawn overhead rather than a
+    through the block worker pool with 4 workers. On a single-core host
+    the entry honestly records worker start-up overhead rather than a
     speedup (below the 1.5x floor it is exempt from the retention
     gate); on multi-core hosts it tracks real scaling.
     """
@@ -606,7 +606,7 @@ def _bench_sharded_hostload(
             pooled, wall4, cpu4 = _timed(lambda: fold(4), max_repeats=1)
             if pooled != want:
                 raise AssertionError(
-                    "sharded_hostload_pool: spawn-pool maxima diverged"
+                    "sharded_hostload_pool: pooled maxima diverged"
                 )
             entry = _entry(
                 "sharded_hostload_pool", scale, wall4, cpu4,
@@ -614,7 +614,7 @@ def _bench_sharded_hostload(
             )
             entries.append(entry)
             log(f"  sharded_hostload_pool [{scale}] {entry['wall_s']}s "
-                f"speedup={entry['speedup']} (4 spawn workers)")
+                f"speedup={entry['speedup']} (4 workers)")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return entries

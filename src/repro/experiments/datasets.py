@@ -394,9 +394,10 @@ class BackendSpec:
     ``sharded`` spills the large Google-side tables to
     :class:`repro.core.shard.ShardedTable` directories and streams the
     characterization kernels over them — optionally fanned out across a
-    spawn-based worker pool (``jobs``). Results are byte-identical to
-    the in-memory backend (the experiments use only exactly-mergeable
-    accumulators); only peak memory and wall-clock change.
+    pool of ``jobs`` workers forked from a per-pass forkserver. Results
+    are byte-identical to the in-memory backend (the experiments use
+    only exactly-mergeable accumulators); only peak memory and
+    wall-clock change.
     """
 
     name: str = "memory"
@@ -433,9 +434,11 @@ def configure_backend(spec: BackendSpec | None) -> BackendSpec:
     """Select the experiment backend (None restores the default).
 
     The choice is also exported via ``REPRO_BACKEND``/
-    ``REPRO_SHARD_ROWS``/``REPRO_BACKEND_JOBS`` so supervisor workers
-    started with the spawn method resolve the same backend; fork-based
-    workers inherit the module state directly.
+    ``REPRO_SHARD_ROWS``/``REPRO_BACKEND_JOBS`` so workers that hold
+    none of this process's module state — map-reduce block workers,
+    forked from a forkserver that each pass starts with the current
+    environment — resolve the same backend; forked experiment workers
+    inherit the module state directly.
     """
     global _BACKEND, _BACKEND_CONFIGURED
     _BACKEND_CONFIGURED = True

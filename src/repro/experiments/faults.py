@@ -279,11 +279,12 @@ class FaultPlan:
 class ShardFaultInjector:
     """Picklable ``inject(root, block, attempt)`` hook for block workers.
 
-    Crosses the spawn pickle boundary into map-reduce workers, so it
-    carries only the (frozen) plan and the table kind it guards. A
-    block fault fires at most once per ``(block, attempt)``; retried
-    attempts look up a different key and proceed clean — exactly the
-    discipline experiment-level faults follow.
+    Crosses the pickle boundary into map-reduce workers (forked from a
+    forkserver, not from the caller), so it carries only the (frozen)
+    plan and the table kind it guards. A block fault fires at most once
+    per ``(block, attempt)``; retried attempts look up a different key
+    and proceed clean — exactly the discipline experiment-level faults
+    follow.
     """
 
     plan: FaultPlan

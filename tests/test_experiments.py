@@ -289,9 +289,10 @@ class TestOutOfCoreChaos:
             # Attempt 1: the worker dies mid-block (respawn + retry).
             {"experiment_id": "*", "kind": "kill-worker", "block": 0},
             # Attempt 2: a shard is corrupted on disk (quarantine + heal).
-            # No block timeout: spawn startup dwarfs any short timeout at
-            # this scale and would degrade blocks to inline before the
-            # faults fire (the timeout path is covered in test_mapreduce).
+            # No block timeout: no fault here hangs, and a short one
+            # could end slow attempts on a loaded host and shift the
+            # attempt numbers the plan keys on (the timeout path is
+            # covered in test_mapreduce).
             {
                 "experiment_id": "*",
                 "kind": "corrupt-shard",

@@ -2,12 +2,19 @@
 
 The load-bearing property is byte-identity: for every accumulator the
 experiments use, folding per-shard partials must reproduce the batch
-computation bit for bit, for any shard size and for the spawn pool.
+computation bit for bit, for any shard size and for the worker pool.
 """
 
+import operator
 import os
+import resource
 import signal
+import subprocess
+import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,7 +212,7 @@ class TestSpawnPool:
         np.testing.assert_array_equal(acc_s.merged(), acc_p.merged())
 
 
-# -- supervision: injectors and kernels must be picklable (spawn) ----------
+# -- supervision: injectors and kernels cross a pickle boundary ------------
 
 
 @dataclass(frozen=True)
@@ -246,7 +253,7 @@ def _boom_kernel(shard):
 
 
 class TestSupervision:
-    """Crash/timeout/error/corruption handling in the spawn pool."""
+    """Crash/timeout/error/corruption handling in the worker pool."""
 
     @pytest.fixture(autouse=True)
     def _fast_backoff(self, monkeypatch):
@@ -436,3 +443,206 @@ class TestSupervision:
         np.testing.assert_array_equal(got.probabilities, serial.probabilities)
         assert timings.counters["mapreduce_stragglers"] == 1
         assert timings.counters.get("mapreduce_block_timeouts", 0) == 0
+
+    def test_block_timeout_owns_hung_attempts(self, tmp_path, monkeypatch):
+        # With a block timeout set, the timeout ends a hung attempt and
+        # no duplicate is launched, however early speculation would fire.
+        monkeypatch.setattr(supervise, "POLL_INTERVAL", 0.02)
+        monkeypatch.setattr(mapreduce, "STRAGGLER_FACTOR", 0.01)
+        monkeypatch.setattr(mapreduce, "STRAGGLER_FLOOR", 0.01)
+        values, sharded = self._sharded(tmp_path, n=20, rows=5)
+        timings = Timings()
+        got = map_shards(
+            sharded,
+            _sum_kernel,
+            jobs=2,
+            config=Policy(timeout=1.0, retries=2),
+            inject=_HangOnce(block=1),
+            timings=timings,
+        )
+        assert got == map_shards(sharded, _sum_kernel)
+        assert timings.counters["mapreduce_block_timeouts"] >= 1
+        assert timings.counters.get("mapreduce_stragglers", 0) == 0
+
+
+# -- reaping: block workers and their forkserver are the caller's to wait for --
+
+BURN_S = 0.25
+
+
+def _burn(shard, seconds):
+    """Spin ``seconds`` of CPU time, then return the shard's first value."""
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+    return int(np.asarray(shard["x"])[0])
+
+
+def _burn_then_fail_last(shard, seconds):
+    value = _burn(shard, seconds)
+    if value == 3:
+        raise ValueError("boom")
+    return value
+
+
+def _burn_then_die(shard, seconds, parent):
+    """Burn and die in a worker; the parent's inline fallback runs clean."""
+    if os.getpid() == parent:
+        return int(np.asarray(shard["x"])[0])
+    _burn(shard, seconds)
+    os._exit(1)
+
+
+def _children():
+    """Pids whose parent is this process, zombies included."""
+    me = os.getpid()
+    pids = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited while listing
+        # The ppid follows the state, after the parenthesised name.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            pids.add(int(entry))
+    return pids
+
+
+def _is_resource_tracker(pid):
+    try:
+        cmdline = Path("/proc", str(pid), "cmdline").read_bytes()
+    except OSError:
+        return False
+    return b"multiprocessing.resource_tracker" in cmdline
+
+
+def _children_cpu():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+@contextmanager
+def _reaped(burned):
+    """Check that the block leaves no child behind but the resource
+    tracker, and that the caller's child CPU grew by ``burned``."""
+    before = _children()
+    cpu_before = _children_cpu()
+    yield
+    left = {pid for pid in _children() - before if not _is_resource_tracker(pid)}
+    assert not left, f"unreaped children: {sorted(left)}"
+    assert _children_cpu() - cpu_before >= burned
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestReaping:
+    """However a pass ends, every block worker and the forkserver they
+    fork from are reaped by the caller, so the caller's child CPU
+    accounting covers what the kernels burned."""
+
+    @pytest.fixture
+    def sharded(self, tmp_path):
+        # Four one-row shards valued 0..3: two blocks of two at jobs=2.
+        return write_table(Table({"x": np.arange(4)}), tmp_path / "t", 1)
+
+    def test_returns(self, sharded):
+        with _reaped(burned=4 * BURN_S):
+            got = map_reduce(
+                sharded, _burn, args=(BURN_S,), jobs=2, merge=operator.add
+            )
+        assert got == 0 + 1 + 2 + 3
+
+    def test_raises(self, sharded):
+        # The failing block burns both its shards before it reports; the
+        # other block may be stopped part way.
+        with _reaped(burned=2 * BURN_S), pytest.raises(
+            MapReduceError, match="boom"
+        ):
+            map_reduce(
+                sharded,
+                _burn_then_fail_last,
+                args=(BURN_S,),
+                jobs=2,
+                merge=operator.add,
+            )
+
+    def test_degrades(self, sharded, monkeypatch):
+        monkeypatch.setattr(mapreduce, "DEGRADE_AFTER", 2)
+        monkeypatch.setattr(mapreduce, "BACKOFF_BASE", 0.001)
+        timings = Timings()
+        # Each crash that trips the breaker burned one shard first.
+        with _reaped(burned=2 * BURN_S):
+            got = map_reduce(
+                sharded,
+                _burn_then_die,
+                args=(BURN_S, os.getpid()),
+                jobs=2,
+                merge=operator.add,
+                config=Policy(retries=2),
+                timings=timings,
+            )
+        assert got == 0 + 1 + 2 + 3
+        assert timings.counters["mapreduce_inline"] == 2
+
+
+def _env():
+    """A child environment on this checkout's ``src`` with no ``REPRO_*``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+class TestWorkerStart:
+    """What entry processes and block workers import, and what workers
+    print on start."""
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.experiments.runner", "repro.analysis.cli", "repro.core.mapreduce"],
+    )
+    def test_entry_modules_leave_scipy_unimported(self, module):
+        code = f"import sys, {module}; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=_env(),
+            timeout=120,
+        ).stdout
+        assert out.strip() == "False"
+
+    def test_sharded_cli_workers_start_without_warnings(self, tmp_path):
+        # Under ``-m`` every block worker re-runs the main module; had
+        # the forkserver preloaded it by name, runpy would warn once per
+        # worker. Small shards make the small-scale table span several
+        # blocks, so workers really start.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.experiments.runner",
+                "fig4",
+                "--scale",
+                "small",
+                "--backend",
+                "sharded",
+                "--jobs",
+                "2",
+                "--shard-rows",
+                "4096",
+                "--no-cache",
+            ],
+            capture_output=True,
+            text=True,
+            env=_env(),
+            cwd=str(tmp_path),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Fig. 4" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
