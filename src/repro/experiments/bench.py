@@ -88,8 +88,8 @@ SNAPSHOT_PATTERN = re.compile(r"BENCH_(\d+)\.json$")
 #: Regression thresholds (see module docstring).
 SPEEDUP_RETENTION = 0.8
 SPEEDUP_GRACE_FLOOR = 5.0
-#: Baselines below this claim no real speedup (the batched event drain
-#: hovers near 1x) — there the ratio is all measurement noise, so the
+#: Baselines below this claim no real speedup (the sharded folds hover
+#: near 1x) — there the ratio is all measurement noise, so the
 #: retention check does not apply.
 SPEEDUP_CHECK_MIN = 1.5
 WALL_TOLERANCE = 1.2
@@ -115,8 +115,8 @@ _PIPELINES = {
     "paper": (12_500, 30 * DAY, 25_000_000.0 / (30 * DAY / HOUR)),
 }
 
-#: Event-drain sim sizes: (machines, horizon_s, tasks/hour). Kept
-#: moderate so the scalar (unbatched) pair stays affordable everywhere.
+#: ``sim_drain`` sizes: (machines, horizon_s, tasks/hour). Kept
+#: moderate so the scalar golden run stays affordable everywhere.
 _DRAIN_SIMS = {
     "small": (16, 2 * DAY, 220.0),
     "medium": (32, 4 * DAY, 390.0),
@@ -312,43 +312,11 @@ def _bench_mass_count(scale: str, seed: int, series: dict) -> dict[str, object]:
     return _entry("mass_count_accumulation", scale, wall, cpu, tasks=rows)
 
 
-def _bench_event_drain(scale: str, seed: int) -> dict[str, object]:
-    n_machines, horizon, tasks_per_hour = _DRAIN_SIMS[scale]
-    rng = np.random.default_rng(seed)
-    machines = generate_machines(n_machines, rng)
-    requests = generate_task_requests(
-        horizon,
-        seed=seed + 1,
-        config=GoogleConfig(busy_window=None),
-        tasks_per_hour=tasks_per_hour,
-    )
-
-    def run(batched: bool):
-        # Pinned to the scalar engine: this entry tracks the batched
-        # pop_batch drain against the one-event-at-a-time scalar loop,
-        # not the SoA engine (that comparison is ``sim_drain``).
-        sim = ClusterSimulator(machines, SimConfig(), seed=seed + 2)
-        return sim.run(
-            requests, horizon, batched_drain=batched, engine="scalar"
-        )
-
-    _, wall, cpu = _timed(lambda: run(True))
-    _, scalar_wall, _ = _timed(lambda: run(False))
-    return _entry(
-        "event_drain",
-        scale,
-        wall,
-        cpu,
-        tasks=len(requests),
-        scalar_wall_s=scalar_wall,
-    )
-
-
 def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
     """SoA engine (compiled hot loop when available) vs scalar golden.
 
-    Same workloads as ``event_drain``; the speedup column is the whole
-    point — the 0.8x retention gate on it keeps the fast engine fast.
+    The speedup column is the whole point — the 0.8x retention gate on
+    it keeps the fast engine fast.
     """
     n_machines, horizon, tasks_per_hour = _DRAIN_SIMS[scale]
     rng = np.random.default_rng(seed)
@@ -538,10 +506,11 @@ def _memory_machine_maxima(
 ) -> dict[int, dict[str, float]]:
     """In-memory baseline: grouped series extraction, then per-machine max.
 
-    This is the memory backend's real Fig. 7 path — one stable lexsort
-    plus a per-machine series gather, then an absolute max per usage
-    attribute — so ``sharded_hostload``'s speedup measures backend
-    against backend on identical outputs, not against a strawman.
+    One stable lexsort plus a per-machine series gather
+    (:func:`~repro.hostload.series.grouped_machine_series`), then an
+    absolute max per usage attribute — so ``sharded_hostload``'s
+    speedup measures the shard fold against the grouped-series path on
+    identical outputs, not against a strawman.
     """
     series = grouped_machine_series(usage, machines)
     return {
@@ -948,11 +917,6 @@ def run_benchmarks(
             if want("mass_count_accumulation"):
                 entries.append(_bench_mass_count(scale, seed, shared["series"]))
             del shared
-        if want("event_drain"):
-            entry = _bench_event_drain(scale, seed)
-            entries.append(entry)
-            log(f"  event_drain [{scale}] {entry['wall_s']}s "
-                f"speedup={entry['speedup']}")
         if want("sim_drain"):
             entry = _bench_sim_drain(scale, seed)
             entries.append(entry)

@@ -17,6 +17,16 @@ REP101/REP501 lint rules — so entries keyed by those inputs plus
 processes and invocations. Configure it with :func:`configure_cache`
 (the CLI does this from ``--cache-dir``) or the ``REPRO_CACHE_DIR``
 environment variable; it is off by default for library use.
+
+Experiments that reduce one of the large Google-side tables (jobs,
+task durations, machine usage) name it and hand a shard kernel to
+:func:`fold_table` or :func:`map_table`; they never see where its rows
+live. This module alone decides that from the active
+:class:`BackendSpec`: under ``memory`` the kernel runs once, in this
+process, on the builder's in-memory table as the only shard; under
+``sharded`` the table is spilled to a
+:class:`~repro.core.shard.ShardedTable` and the same kernel is folded
+over its shards by the supervised map-reduce.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import fcntl
 import os
 import shutil
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,14 +76,10 @@ __all__ = [
     "dataset_cache",
     "dataset_stats",
     "default_cache_dir",
+    "fold_table",
     "heal_sharded_table",
-    "open_sharded",
+    "map_table",
     "reset_dataset_stats",
-    "sharded_google_jobs",
-    "sharded_machine_usage",
-    "sharded_map_reduce",
-    "sharded_map_shards",
-    "sharded_task_durations",
     "workload_dataset",
     "simulation_dataset",
     "sim_google_config",
@@ -141,6 +147,11 @@ def _scale(name: str) -> ScaleSpec:
         ) from None
 
 
+def _workload_config(spec: ScaleSpec) -> GoogleConfig:
+    """Google model for the workload tables at this scale."""
+    return GoogleConfig(busy_window=spec.busy_window, busy_factor=spec.busy_factor)
+
+
 def sim_google_config(spec: ScaleSpec) -> GoogleConfig:
     """Google model configured for simulation runs at this scale.
 
@@ -153,6 +164,27 @@ def sim_google_config(spec: ScaleSpec) -> GoogleConfig:
         busy_factor=spec.busy_factor,
         cpu_utilization_range=(0.25, 0.7),
     )
+
+
+def _workload_key(scale: str, seed: int) -> dict[str, object]:
+    """Cache-key parts every workload-derived entry shares."""
+    spec = _scale(scale)
+    return {
+        "scale": fingerprint(spec),
+        "seed": seed,
+        "config": fingerprint(_workload_config(spec)),
+    }
+
+
+def _simulation_key(scale: str, seed: int) -> dict[str, object]:
+    """Cache-key parts every simulation-derived entry shares."""
+    spec = _scale(scale)
+    return {
+        "scale": fingerprint(spec),
+        "seed": seed,
+        "config": fingerprint(sim_google_config(spec)),
+        "sim": fingerprint(SimConfig()),
+    }
 
 
 @dataclass(frozen=True)
@@ -231,7 +263,7 @@ def configure_cache(
 ) -> DiskCache | None:
     """Point the dataset builders at an on-disk cache (None disables).
 
-    Also clears the in-process memo so the new cache takes effect for
+    Also clears the in-process memos so the new cache takes effect for
     subsequent calls.
     """
     global _CACHE, _CACHE_CONFIGURED
@@ -243,9 +275,7 @@ def configure_cache(
     )
     workload_dataset.cache_clear()
     simulation_dataset.cache_clear()
-    sharded_google_jobs.cache_clear()
-    sharded_task_durations.cache_clear()
-    sharded_machine_usage.cache_clear()
+    _ROOTS.clear()
     return _CACHE
 
 
@@ -305,18 +335,10 @@ def _cached_build(kind: str, key_parts: dict[str, object], build):
 def workload_dataset(scale: str = "paper", seed: int = 0) -> WorkloadDataset:
     """Job tables for Google + all eight Grid/HPC systems."""
     spec = _scale(scale)
-    config = GoogleConfig(
-        busy_window=spec.busy_window, busy_factor=spec.busy_factor
-    )
     return _cached_build(
         "workload",
-        {
-            "scale": fingerprint(spec),
-            "seed": seed,
-            "config": fingerprint(config),
-            "grids": fingerprint(GRID_PRESETS),
-        },
-        lambda: _build_workload(spec, seed, config),
+        {**_workload_key(scale, seed), "grids": fingerprint(GRID_PRESETS)},
+        lambda: _build_workload(spec, seed, _workload_config(spec)),
     )
 
 
@@ -353,16 +375,10 @@ def _build_workload(
 def simulation_dataset(scale: str = "paper", seed: int = 0) -> SimulationDataset:
     """Simulated cluster run at the requested scale (memoized)."""
     spec = _scale(scale)
-    config = sim_google_config(spec)
     return _cached_build(
         "simulation",
-        {
-            "scale": fingerprint(spec),
-            "seed": seed,
-            "config": fingerprint(config),
-            "sim": fingerprint(SimConfig()),
-        },
-        lambda: _build_simulation(spec, seed, config),
+        _simulation_key(scale, seed),
+        lambda: _build_simulation(spec, seed, sim_google_config(spec)),
     )
 
 
@@ -383,21 +399,21 @@ def _build_simulation(
     return SimulationDataset(result=result, series=series, config=config)
 
 
-# -- out-of-core backend ------------------------------------------------------
+# -- backend ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """How experiments materialize their large tables.
+    """Where the dataset tables live while experiment kernels fold them.
 
-    ``memory`` (the default) keeps every dataset as in-process arrays;
-    ``sharded`` spills the large Google-side tables to
-    :class:`repro.core.shard.ShardedTable` directories and streams the
-    characterization kernels over them — optionally fanned out across a
-    pool of ``jobs`` workers forked from a per-pass forkserver. Results
-    are byte-identical to the in-memory backend (the experiments use
-    only exactly-mergeable accumulators); only peak memory and
-    wall-clock change.
+    ``memory`` (the default) hands a kernel the builder's in-memory
+    table as its only shard, in this process. ``sharded`` spills the
+    table to a :class:`repro.core.shard.ShardedTable` of
+    ``shard_rows``-row shards and folds the same kernel over them,
+    optionally across ``jobs`` block workers forked from a per-pass
+    forkserver. Both backends run one set of kernels whose merges are
+    exact, so output is byte-identical for any ``shard_rows`` and
+    ``jobs``; only peak memory and wall-clock change.
     """
 
     name: str = "memory"
@@ -472,6 +488,8 @@ def active_backend() -> BackendSpec:
         _BACKEND = BackendSpec()
     return _BACKEND
 
+
+# -- spills -------------------------------------------------------------------
 
 #: Process-local spill directories (used when no disk cache is active),
 #: removed at interpreter exit.
@@ -651,12 +669,14 @@ def heal_sharded_table(root: str, message: str) -> str | None:
 
     The recovery path behind every :class:`ShardIntegrityError`: the
     damaged bytes are parked (disk-cache quarantine for cached tables,
-    deletion for tmp spills), the sharded-path memos are dropped, and
-    the table is rebuilt from its pure upstream builder — byte-identical
-    by construction. Returns the fresh root, or ``None`` for a root this
-    process never derived (the caller then re-raises).
+    deletion for tmp spills) and the table is rebuilt from its pure
+    upstream builder — byte-identical by construction. Every table name
+    that resolved to the damaged root resolves to the new one from now
+    on. Returns the fresh root, or ``None`` for a root this process
+    never derived (the caller then re-raises).
     """
-    source = _SHARD_SOURCES.get(str(root))
+    root = str(root)
+    source = _SHARD_SOURCES.pop(root, None)
     if source is None:
         return None
     _STATS["shards_quarantined"] += 1
@@ -665,189 +685,185 @@ def heal_sharded_table(root: str, message: str) -> str | None:
         cache.quarantine_entry(source.key)
     else:
         shutil.rmtree(root, ignore_errors=True)
-    _SHARD_SOURCES.pop(str(root), None)
-    sharded_google_jobs.cache_clear()
-    sharded_task_durations.cache_clear()
-    sharded_machine_usage.cache_clear()
     new_root = source.rebuild()
     _STATS["shards_rederived"] += 1
+    for memo, path in _ROOTS.items():
+        if path == root:
+            _ROOTS[memo] = new_root
     return new_root
 
 
-def open_sharded(path: str | Path, *, verify: str | None = None) -> ShardedTable:
-    """Open a sharded table, healing it if its bytes fail validation.
+# -- dataset tables -----------------------------------------------------------
 
-    The backend's verify policy applies unless overridden. If open-time
-    structural checks or digest verification reject the table, it is
-    quarantined and re-derived once; a second failure propagates.
+
+@dataclass(frozen=True)
+class _TableSpec:
+    """One dataset table that experiment kernels fold over.
+
+    ``build(scale, seed)`` is the pure builder of the whole table, with
+    rows in fold order; under the memory backend its result is the
+    fold's only shard. The sharded backend spills it to the disk-cache
+    entry ``kind`` keyed by ``key(scale, seed)`` plus ``shard_rows``,
+    cutting shards only between runs of ``group_by`` when set.
     """
-    mode = verify if verify is not None else active_backend().verify
-    try:
-        return ShardedTable.open(path, verify=mode)
-    except ShardIntegrityError as exc:
-        healed = heal_sharded_table(str(path), str(exc))
-        if healed is None:
-            raise
-        return ShardedTable.open(healed, verify=mode)
+
+    kind: str
+    key: Callable[[str, int], dict[str, object]]
+    build: Callable[[str, int], Table]
+    group_by: str | None = None
 
 
-def _shard_injector(path: str):
-    """Fault-injection hook for map-reduce workers over this table."""
+_TABLES: dict[str, _TableSpec] = {
+    # Submit order, as generated (the arrival processes emit sorted
+    # times): each shard covers a contiguous time range, so fig5's
+    # cross-shard gaps are single boundary differences.
+    "google_jobs": _TableSpec(
+        kind="workload-jobs-shards",
+        key=lambda scale, seed: {
+            **_workload_key(scale, seed),
+            "grids": fingerprint(GRID_PRESETS),
+            "order": "submit_time",
+        },
+        build=lambda scale, seed: workload_dataset(scale, seed).google_jobs,
+    ),
+    "task_durations": _TableSpec(
+        kind="workload-tasks-shards",
+        key=lambda scale, seed: {
+            **_workload_key(scale, seed),
+            "columns": ("duration",),
+        },
+        build=lambda scale, seed: Table(
+            {"duration": workload_dataset(scale, seed).google_tasks.duration}
+        ),
+    ),
+    # Machine-major (machine_id, time), the element order
+    # grouped_machine_series gathers, cut only at machine boundaries:
+    # each machine's whole series sits in exactly one shard.
+    "machine_usage": _TableSpec(
+        kind="simulation-usage-shards",
+        key=lambda scale, seed: {
+            **_simulation_key(scale, seed),
+            "order": "machine_id,time",
+        },
+        build=lambda scale, seed: simulation_dataset(
+            scale, seed
+        ).result.machine_usage.sort_by("machine_id", "time"),
+        group_by="machine_id",
+    ),
+}
+
+#: (table, scale, seed, shard_rows) -> root of that table's spill.
+#: :func:`heal_sharded_table` repoints an entry at the re-derived root,
+#: so a pass that names a table after another pass healed it reads the
+#: healed copy.
+_ROOTS: dict[tuple[str, str, int, int], str] = {}
+
+
+def _table_root(table: str, scale: str, seed: int, shard_rows: int) -> str:
+    """The named table's spill, made on first use in this process."""
+    memo = (table, scale, seed, shard_rows)
+    if memo not in _ROOTS:
+        spec = _TABLES[table]
+        _ROOTS[memo] = _sharded_build(
+            spec.kind,
+            spec.key(scale, seed),
+            lambda: spec.build(scale, seed),
+            shard_rows,
+            spec.group_by,
+        )
+    return _ROOTS[memo]
+
+
+def _shard_injector(kind: str):
+    """Fault-injection hook for map-reduce workers over this table kind."""
     from . import faults  # lazy: faults imports this module at top level
 
     plan = faults.plan_from_env()
-    if plan is None:
-        return None
-    source = _SHARD_SOURCES.get(str(path))
-    kind = source.kind if source is not None else "*"
-    if not plan.has_shard_faults(kind):
+    if plan is None or not plan.has_shard_faults(kind):
         return None
     return faults.ShardFaultInjector(plan=plan, table=kind)
 
 
-def _mapreduce_config(backend: BackendSpec) -> Policy:
-    return Policy(
-        timeout=backend.block_timeout,
-        retries=backend.block_retries,
-        verify=backend.verify,
+def _over_shards(run, table, scale, seed, kernel, args, jobs, **options):
+    """One supervised ``run`` (map_reduce/map_shards) over a table's spill.
+
+    Worker count (``jobs`` overrides the backend's), per-block timeout,
+    retries and verify mode come from the active backend. Shard damage
+    found at open or by a block heals through :func:`heal_sharded_table`,
+    fault plans inject through the worker hook, and recovery counters
+    land in :func:`dataset_stats`.
+    """
+    backend = active_backend()
+    root = _table_root(table, scale, seed, backend.shard_rows)
+    try:
+        shards = ShardedTable.open(root, verify=backend.verify)
+    except ShardIntegrityError as exc:
+        root = heal_sharded_table(root, str(exc))
+        if root is None:
+            raise
+        shards = ShardedTable.open(root, verify=backend.verify)
+    return run(
+        shards,
+        kernel,
+        args=args,
+        jobs=backend.jobs if jobs is None else jobs,
+        config=Policy(
+            timeout=backend.block_timeout,
+            retries=backend.block_retries,
+            verify=backend.verify,
+        ),
+        inject=_shard_injector(_TABLES[table].kind),
+        heal=heal_sharded_table,
+        timings=_StatsCounter(),
+        **options,
     )
 
 
-def sharded_map_reduce(
-    path: str | Path,
+def fold_table(
+    table: str,
+    scale: str,
+    seed: int,
     kernel,
     *,
     args: tuple = (),
-    jobs: int | None = None,
     merge=merge_accumulators,
+    jobs: int | None = None,
 ):
-    """Supervised :func:`repro.core.mapreduce.map_reduce` over a table path.
+    """Left fold of ``kernel(shard, *args)`` over a dataset table.
 
-    The standard way experiments fold kernels over a sharded dataset:
-    worker count, per-block timeout/retries and verify mode come from
-    the active backend; shard corruption heals through
-    :func:`heal_sharded_table`; fault plans inject through the worker
-    hook; recovery counters land in :func:`dataset_stats`.
+    ``table`` names one of ``google_jobs``, ``task_durations`` and
+    ``machine_usage``. Under the memory backend the builder's table is
+    the only shard: the kernel runs once, here, on the table itself.
+    Under the sharded backend the table's spill is folded by a
+    supervised map-reduce in shard order. Returns ``None`` for an empty
+    table, like a zero-shard map-reduce.
     """
-    backend = active_backend()
-    jobs = backend.jobs if jobs is None else jobs
-    return map_reduce(
-        open_sharded(path),
-        kernel,
-        args=args,
-        jobs=jobs,
-        merge=merge,
-        config=_mapreduce_config(backend),
-        inject=_shard_injector(str(path)),
-        heal=heal_sharded_table,
-        timings=_StatsCounter(),
+    if active_backend().name == "memory":
+        whole = _TABLES[table].build(scale, seed)
+        return kernel(whole, *args) if whole.num_rows else None
+    return _over_shards(
+        map_reduce, table, scale, seed, kernel, args, jobs, merge=merge
     )
 
 
-def sharded_map_shards(
-    path: str | Path,
+def map_table(
+    table: str,
+    scale: str,
+    seed: int,
     kernel,
     *,
     args: tuple = (),
     jobs: int | None = None,
 ) -> list:
-    """Supervised :func:`repro.core.mapreduce.map_shards` over a table path."""
-    backend = active_backend()
-    jobs = backend.jobs if jobs is None else jobs
-    return map_shards(
-        open_sharded(path),
-        kernel,
-        args=args,
-        jobs=jobs,
-        config=_mapreduce_config(backend),
-        inject=_shard_injector(str(path)),
-        heal=heal_sharded_table,
-        timings=_StatsCounter(),
-    )
+    """Per-shard ``kernel(shard, *args)`` results, in shard order.
 
-
-@lru_cache(maxsize=8)
-def sharded_google_jobs(
-    scale: str = "paper", seed: int = 0, shard_rows: int = 1_000_000
-) -> str:
-    """Google job table spilled sorted by submit time (path string).
-
-    The submit-time sort makes per-shard interarrival kernels exact:
-    every shard holds a contiguous time range, so cross-shard gaps are
-    single boundary differences (see fig5's gap state).
+    :func:`fold_table` without the fold; the memory backend returns the
+    one result of its single shard.
     """
-    spec = _scale(scale)
-    config = GoogleConfig(
-        busy_window=spec.busy_window, busy_factor=spec.busy_factor
-    )
-    return _sharded_build(
-        "workload-jobs-shards",
-        {
-            "scale": fingerprint(spec),
-            "seed": seed,
-            "config": fingerprint(config),
-            "grids": fingerprint(GRID_PRESETS),
-            "order": "submit_time",
-        },
-        lambda: workload_dataset(scale, seed).google_jobs.sort_by(
-            "submit_time"
-        ),
-        shard_rows,
-    )
-
-
-@lru_cache(maxsize=8)
-def sharded_task_durations(
-    scale: str = "paper", seed: int = 0, shard_rows: int = 1_000_000
-) -> str:
-    """Google task-duration sample as a single-column sharded table."""
-    spec = _scale(scale)
-    config = GoogleConfig(
-        busy_window=spec.busy_window, busy_factor=spec.busy_factor
-    )
-    return _sharded_build(
-        "workload-tasks-shards",
-        {
-            "scale": fingerprint(spec),
-            "seed": seed,
-            "config": fingerprint(config),
-            "columns": ("duration",),
-        },
-        lambda: Table(
-            {"duration": workload_dataset(scale, seed).google_tasks.duration}
-        ),
-        shard_rows,
-    )
-
-
-@lru_cache(maxsize=8)
-def sharded_machine_usage(
-    scale: str = "paper", seed: int = 0, shard_rows: int = 1_000_000
-) -> str:
-    """Simulated machine-usage table spilled machine-major (path string).
-
-    Rows are sorted by ``(machine_id, time)`` — the exact element order
-    :func:`repro.hostload.series.grouped_machine_series` gathers — and
-    shard cuts are aligned to machine boundaries (``group_by``), so a
-    per-machine series is always contiguous within one shard.
-    """
-    spec = _scale(scale)
-    config = sim_google_config(spec)
-    return _sharded_build(
-        "simulation-usage-shards",
-        {
-            "scale": fingerprint(spec),
-            "seed": seed,
-            "config": fingerprint(config),
-            "sim": fingerprint(SimConfig()),
-            "order": "machine_id,time",
-        },
-        lambda: simulation_dataset(scale, seed).result.machine_usage.sort_by(
-            "machine_id", "time"
-        ),
-        shard_rows,
-        group_by="machine_id",
-    )
+    if active_backend().name == "memory":
+        whole = _TABLES[table].build(scale, seed)
+        return [kernel(whole, *args)] if whole.num_rows else []
+    return _over_shards(map_shards, table, scale, seed, kernel, args, jobs)
 
 
 def grid_system_names() -> list[str]:

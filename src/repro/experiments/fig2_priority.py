@@ -14,12 +14,7 @@ import numpy as np
 from ..core.ecdf import histogram_counts
 from ..traces.schema import priority_band_array
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    sharded_google_jobs,
-    sharded_map_reduce,
-    workload_dataset,
-)
+from .datasets import fold_table
 
 __all__ = ["run"]
 
@@ -46,8 +41,14 @@ class _PriorityCounts:
         return self
 
 
-def _count_shard(priorities: np.ndarray, num_tasks: np.ndarray) -> _PriorityCounts:
-    """Fig. 2 counts of one row chunk (the whole table, or one shard)."""
+def _collect_priorities(shard) -> _PriorityCounts:
+    """Map kernel: one shard's priority/task histogram.
+
+    Integer count sums merge exactly in any grouping, so the histogram
+    is the same for one shard or many.
+    """
+    priorities = np.asarray(shard["priority"])
+    num_tasks = np.asarray(shard["num_tasks"])
     job_counts = histogram_counts(priorities, _PRIORITIES)
     # Task counts weight each job by its task fan-out.
     task_counts = np.array(
@@ -67,27 +68,8 @@ def _count_shard(priorities: np.ndarray, num_tasks: np.ndarray) -> _PriorityCoun
     )
 
 
-def _collect_priorities(shard) -> _PriorityCounts:
-    """Map kernel: one shard's priority/task histogram."""
-    return _count_shard(
-        np.asarray(shard["priority"]), np.asarray(shard["num_tasks"])
-    )
-
-
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    backend = active_backend()
-    if backend.name == "sharded":
-        # Integer count sums merge exactly in any grouping, so the
-        # streamed histogram is byte-identical to the in-memory one.
-        counts = sharded_map_reduce(
-            sharded_google_jobs(scale, seed, backend.shard_rows),
-            _collect_priorities,
-        )
-    else:
-        jobs = workload_dataset(scale, seed).google_jobs
-        counts = _count_shard(
-            np.asarray(jobs["priority"]), np.asarray(jobs["num_tasks"])
-        )
+    counts = fold_table("google_jobs", scale, seed, _collect_priorities)
     job_counts = counts.job_counts
     band_fracs = {
         "low(1-4)": float(int(counts.band_counts[0]) / counts.total_jobs),

@@ -14,12 +14,7 @@ from ..core.kernels import MassCountAccumulator
 from ..core.masscount import joint_ratio_label, mass_count
 from ..synth.presets import DAY
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    sharded_map_reduce,
-    sharded_task_durations,
-    workload_dataset,
-)
+from .datasets import fold_table, workload_dataset
 
 __all__ = ["run"]
 
@@ -33,17 +28,11 @@ def _collect_durations(shard) -> MassCountAccumulator:
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
-    backend = active_backend()
-    if backend.name == "sharded":
-        # Stream the duration column shard by shard; merging in shard
-        # order reassembles the exact in-memory sample, so every number
-        # below is byte-identical to the memory backend.
-        google_lengths = sharded_map_reduce(
-            sharded_task_durations(scale, seed, backend.shard_rows),
-            _collect_durations,
-        ).merged()
-    else:
-        google_lengths = np.asarray(data.google_tasks.duration)
+    # Merging in shard order reassembles the whole duration sample, so
+    # every number below is the same for any sharding.
+    google_lengths = fold_table(
+        "task_durations", scale, seed, _collect_durations
+    ).merged()
     ag = data.grid_jobs_native["AuverGrid"]
     ag_lengths = np.asarray(ag["run_time"])
 

@@ -14,13 +14,7 @@ import numpy as np
 from ..core.ecdf import ecdf
 from ..traces.convert import job_interarrival_times
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    grid_system_names,
-    sharded_google_jobs,
-    sharded_map_reduce,
-    workload_dataset,
-)
+from .datasets import fold_table, grid_system_names, workload_dataset
 
 __all__ = ["run", "CDF_POINTS"]
 
@@ -34,11 +28,10 @@ class _GapState:
 
     Each shard contributes its internal ``np.diff`` plus its first/last
     submit times; merging adjacent states inserts the one boundary gap
-    ``other.first - self.last``. Because the sharded jobs table is
-    sorted by submit time before spilling, concatenating the chunks in
-    shard order is elementwise identical to ``np.diff`` over the full
-    sorted column — so the ECDF, median, and mean match the memory
-    backend bit for bit.
+    ``other.first - self.last``. Because the jobs table is in submit
+    order, concatenating the chunks in shard order is elementwise
+    identical to ``np.diff`` over the full sorted column — so the ECDF,
+    median, and mean are the same for any sharding, one shard included.
     """
 
     first: float
@@ -74,25 +67,16 @@ def _shard_gaps(shard) -> _GapState:
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
-    systems = {"Google": data.google_jobs}
-    systems.update({n: data.grid_jobs[n] for n in grid_system_names()})
-
-    backend = active_backend()
-    google_gaps: np.ndarray | None = None
-    if backend.name == "sharded":
-        state = sharded_map_reduce(
-            sharded_google_jobs(scale, seed, backend.shard_rows), _shard_gaps
-        )
-        google_gaps = state.gaps() if state is not None else np.empty(0)
+    state = fold_table("google_jobs", scale, seed, _shard_gaps)
+    intervals = {"Google": state.gaps() if state is not None else np.empty(0)}
+    intervals.update(
+        {n: job_interarrival_times(data.grid_jobs[n]) for n in grid_system_names()}
+    )
 
     rows = []
     medians: dict[str, float] = {}
     means: dict[str, float] = {}
-    for name, jobs in systems.items():
-        if name == "Google" and google_gaps is not None:
-            gaps = google_gaps
-        else:
-            gaps = job_interarrival_times(jobs)
+    for name, gaps in intervals.items():
         cdf = ecdf(gaps)
         medians[name] = float(np.median(gaps))
         means[name] = float(gaps.mean())

@@ -14,12 +14,7 @@ from ..core.ecdf import ecdf
 from ..core.kernels import ECDFAccumulator
 from ..core.usage import memory_usage_mb
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    sharded_google_jobs,
-    sharded_map_reduce,
-    workload_dataset,
-)
+from .datasets import fold_table, workload_dataset
 
 __all__ = ["run", "CPU_POINTS", "MEM_POINTS_MB"]
 
@@ -35,8 +30,7 @@ class _UsageAccumulator:
 
     ``memory_usage_mb`` is elementwise, so applying it per shard and
     pooling gives the same value multiset — and the ECDF state merges
-    exactly — so every finalized CDF is bit-identical to the in-memory
-    computation over the full columns.
+    exactly — so every finalized CDF is the same for any sharding.
     """
 
     def __init__(self) -> None:
@@ -63,22 +57,11 @@ def _collect_usage(shard) -> _UsageAccumulator:
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
-    backend = active_backend()
-
-    google_usage: _UsageAccumulator | None = None
-    if backend.name == "sharded":
-        google_usage = sharded_map_reduce(
-            sharded_google_jobs(scale, seed, backend.shard_rows),
-            _collect_usage,
-        )
+    google_usage = fold_table("google_jobs", scale, seed, _collect_usage)
 
     # -- Fig. 6(a): CPU usage over all processors -------------------------
     cpu_rows = []
-    cpu_cdfs = {}
-    if google_usage is not None:
-        cpu_cdfs["Google"] = google_usage.cpu.finalize()
-    else:
-        cpu_cdfs["Google"] = ecdf(np.asarray(data.google_jobs["cpu_usage"]))
+    cpu_cdfs = {"Google": google_usage.cpu.finalize()}
     for name in _CPU_SYSTEMS:
         cpu_cdfs[name] = ecdf(np.asarray(data.grid_jobs[name]["cpu_usage"]))
     for name, cdf in cpu_cdfs.items():
@@ -86,16 +69,10 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
 
     # -- Fig. 6(b): memory usage in MB ------------------------------------
     mem_rows = []
-    mem_cdfs = {}
-    if google_usage is not None:
-        mem_cdfs["Google(MaxCap=32GB)"] = google_usage.mem32.finalize()
-        mem_cdfs["Google(MaxCap=64GB)"] = google_usage.mem64.finalize()
-    else:
-        google_mem_norm = np.asarray(data.google_jobs["mem_usage"])
-        for cap_gb in (32.0, 64.0):
-            mem_cdfs[f"Google(MaxCap={cap_gb:.0f}GB)"] = ecdf(
-                memory_usage_mb(google_mem_norm, cap_gb)
-            )
+    mem_cdfs = {
+        "Google(MaxCap=32GB)": google_usage.mem32.finalize(),
+        "Google(MaxCap=64GB)": google_usage.mem64.finalize(),
+    }
     for name in _MEM_SYSTEMS:
         kb = np.asarray(data.grid_jobs_native[name]["used_memory"])
         mem_cdfs[name] = ecdf(kb / 1024.0)

@@ -10,13 +10,7 @@ import numpy as np
 
 from ..core.fairness import HourlyCountsAccumulator, submission_rate_stats
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    grid_system_names,
-    sharded_google_jobs,
-    sharded_map_reduce,
-    workload_dataset,
-)
+from .datasets import fold_table, grid_system_names, workload_dataset
 
 __all__ = ["run", "PAPER_TABLE1"]
 
@@ -25,8 +19,8 @@ def _hourly_counts(shard, horizon: float) -> HourlyCountsAccumulator:
     """Map kernel: hourly submission bincount of one shard.
 
     Integer partial counts over a fixed horizon merge exactly under any
-    sharding, so the finalized Table I row matches the in-memory
-    :func:`submission_rate_stats` bit for bit.
+    sharding, so the finalized Table I row matches
+    :func:`submission_rate_stats` over the whole column bit for bit.
     """
     acc = HourlyCountsAccumulator(horizon)
     acc.add(np.asarray(shard["submit_time"]))
@@ -48,24 +42,23 @@ PAPER_TABLE1: dict[str, tuple[float, float, float, float]] = {
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
-    systems = {"Google": data.google_jobs}
-    systems.update({n: data.grid_jobs[n] for n in grid_system_names()})
+    rates = {
+        "Google": fold_table(
+            "google_jobs", scale, seed, _hourly_counts, args=(data.horizon,)
+        ).finalize()
+    }
+    rates.update(
+        {
+            n: submission_rate_stats(
+                np.asarray(data.grid_jobs[n]["submit_time"]), data.horizon
+            )
+            for n in grid_system_names()
+        }
+    )
 
-    backend = active_backend()
     rows = []
     measured: dict[str, tuple[float, float, float, float]] = {}
-    for name, jobs in systems.items():
-        if name == "Google" and backend.name == "sharded":
-            acc = sharded_map_reduce(
-                sharded_google_jobs(scale, seed, backend.shard_rows),
-                _hourly_counts,
-                args=(data.horizon,),
-            )
-            stats = acc.finalize()
-        else:
-            stats = submission_rate_stats(
-                np.asarray(jobs["submit_time"]), data.horizon
-            )
+    for name, stats in rates.items():
         measured[name] = (
             stats.max_per_hour,
             stats.avg_per_hour,
@@ -85,8 +78,8 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         )
 
     google = measured["Google"]
-    grid_avg = [measured[n][1] for n in systems if n != "Google"]
-    grid_fair = [measured[n][3] for n in systems if n != "Google"]
+    grid_avg = [measured[n][1] for n in rates if n != "Google"]
+    grid_fair = [measured[n][3] for n in rates if n != "Google"]
     return ExperimentResult(
         experiment_id="tab1",
         title="Jobs submitted per hour (Table I)",

@@ -126,7 +126,6 @@ class ClusterSimulator:
         requests: TaskRequests,
         horizon: float,
         *,
-        batched_drain: bool = True,
         engine: str = "auto",
     ) -> SimResult:
         """Simulate ``[0, horizon]`` seconds of the request stream.
@@ -143,14 +142,9 @@ class ClusterSimulator:
         same tables, counts, and final RNG state — which the
         golden-equivalence suite enforces.
 
-        ``batched_drain=True`` (the default) pops all events sharing a
-        timestamp in one :meth:`~repro.sim.engine.EventQueue.pop_batch`
-        call instead of one peek/pop round-trip per event. Scheduler
-        decisions are byte-identical either way (the golden equivalence
-        test runs both): events pushed while a batch is processed carry
-        later ``(time, seq)`` keys, so processing order is unchanged.
-        The flag only concerns the scalar engine; the SoA engine always
-        drains in batches.
+        The scalar engine drains its event queue one event at a time
+        (:meth:`~repro.sim.engine.EventQueue.pop`), the reference order
+        the SoA engines' batched drain is held to.
         """
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -306,54 +300,52 @@ class ClusterSimulator:
                     pending.push(task)
                 continue
 
-            batch = queue.pop_batch() if batched_drain else [queue.pop()]
-            time = batch[0][0]
+            time, kind, payload = queue.pop()
             if time > horizon:
                 break
-            for _t, kind, payload in batch:
-                if kind == _MACHINE_DOWN:
-                    m = int(payload)
-                    fleet.available[m] = False
-                    # Evict everything running there (machine maintenance).
-                    for victim in list(fleet.running[m].values()):
-                        evict(victim, time)
-                    continue
-                if kind == _MACHINE_UP:
-                    fleet.available[int(payload)] = True
-                    drain_pending(time)
-                    continue
-                if kind == _TICK:
-                    monitor.sample(time, len(pending), n_finished, n_abnormal)
-                    if time + period <= horizon:
-                        queue.push(time + period, _TICK, None)
-                elif kind == _COMPLETE:
-                    task, incarnation = payload
-                    if (
-                        task.incarnation != incarnation
-                        or task.state != TaskState.RUNNING
-                    ):
-                        continue  # stale completion (task was evicted)
-                    fleet.stop(task.machine, task)
-                    record(time, task, task.fate, task.machine)
-                    fate_name = TaskEvent(task.fate).name.lower()
-                    counts[fate_name] += 1
-                    n_finished += 1
-                    if task.fate != int(TaskEvent.FINISH):
-                        n_abnormal += 1
-                    task.machine = -1
-                    task.incarnation += 1
-                    if failures.resubmits(task.fate, task.resubmits, self.rng):
-                        task.resubmits += 1
-                        task.fate = failures.redraw_fate(self.rng)
-                        task.state = TaskState.PENDING
-                        record(time, task, int(TaskEvent.SUBMIT), -1)
-                        counts["submitted"] += 1
-                        if not try_place(task, time, allow_preempt=True):
-                            pending.push(task)
-                    else:
-                        task.state = TaskState.DEAD
-                    # Either way resources were freed: admit pending work.
-                    drain_pending(time)
+            if kind == _MACHINE_DOWN:
+                m = int(payload)
+                fleet.available[m] = False
+                # Evict everything running there (machine maintenance).
+                for victim in list(fleet.running[m].values()):
+                    evict(victim, time)
+                continue
+            if kind == _MACHINE_UP:
+                fleet.available[int(payload)] = True
+                drain_pending(time)
+                continue
+            if kind == _TICK:
+                monitor.sample(time, len(pending), n_finished, n_abnormal)
+                if time + period <= horizon:
+                    queue.push(time + period, _TICK, None)
+            elif kind == _COMPLETE:
+                task, incarnation = payload
+                if (
+                    task.incarnation != incarnation
+                    or task.state != TaskState.RUNNING
+                ):
+                    continue  # stale completion (task was evicted)
+                fleet.stop(task.machine, task)
+                record(time, task, task.fate, task.machine)
+                fate_name = TaskEvent(task.fate).name.lower()
+                counts[fate_name] += 1
+                n_finished += 1
+                if task.fate != int(TaskEvent.FINISH):
+                    n_abnormal += 1
+                task.machine = -1
+                task.incarnation += 1
+                if failures.resubmits(task.fate, task.resubmits, self.rng):
+                    task.resubmits += 1
+                    task.fate = failures.redraw_fate(self.rng)
+                    task.state = TaskState.PENDING
+                    record(time, task, int(TaskEvent.SUBMIT), -1)
+                    counts["submitted"] += 1
+                    if not try_place(task, time, allow_preempt=True):
+                        pending.push(task)
+                else:
+                    task.state = TaskState.DEAD
+                # Either way resources were freed: admit pending work.
+                drain_pending(time)
 
         # Horizon-edge accounting: tasks still running (their completion
         # would land past the horizon, so no _COMPLETE event was queued)

@@ -40,10 +40,10 @@ class TestRegressionPolicy:
         assert compare_snapshots(base, cur) == []
 
     def test_near_unity_baselines_not_gated(self):
-        # The batched event drain hovers near 1x; its ratio is noise,
+        # The sharded ECDF fold hovers near 1x; its ratio is noise,
         # not a guarantee to protect.
-        base = _snap(_e("event_drain", speedup=1.04))
-        cur = _snap(_e("event_drain", speedup=0.7))
+        base = _snap(_e("sharded_ecdf", speedup=1.04))
+        cur = _snap(_e("sharded_ecdf", speedup=0.7))
         assert compare_snapshots(base, cur) == []
 
     def test_wall_check_opt_in(self):
@@ -110,7 +110,6 @@ class TestCli:
             "series_extraction",
             "run_length_segmentation",
             "mass_count_accumulation",
-            "event_drain",
             "sim_drain",
             "chunked_generation",
             "hostload_pipeline",

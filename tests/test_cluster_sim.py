@@ -78,32 +78,6 @@ class TestSimBasics:
         assert a.task_events == b.task_events
         assert a.machine_usage == b.machine_usage
 
-    def test_batched_drain_byte_identical(self):
-        # The batched event-drain fast path must not change a single
-        # scheduler decision: every output table matches the
-        # one-event-at-a-time reference run exactly. Pinned to the
-        # scalar engine — batched_drain only concerns its loop, and
-        # the default engine now routes to the SoA path.
-        def run(batched):
-            rng = np.random.default_rng(11)
-            machines = generate_machines(6, rng)
-            requests = generate_task_requests(
-                4 * HOUR,
-                seed=12,
-                config=GoogleConfig(busy_window=None),
-                tasks_per_hour=60.0,
-            )
-            sim = ClusterSimulator(machines, SimConfig(), seed=13)
-            return sim.run(
-                requests, 4 * HOUR, batched_drain=batched, engine="scalar"
-            )
-
-        fast, golden = run(True), run(False)
-        assert fast.task_events == golden.task_events
-        assert fast.machine_usage == golden.machine_usage
-        assert fast.cluster_series == golden.cluster_series
-        assert fast.counts == golden.counts
-
     def test_monitor_rows(self, tiny_sim_result):
         _, result = tiny_sim_result
         mu = result.machine_usage

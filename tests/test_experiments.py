@@ -210,6 +210,14 @@ class TestDatasets:
 
         assert workload_dataset("small", 0) is workload_dataset("small", 0)
 
+    def test_google_jobs_in_submit_order(self):
+        # Both backends fold the jobs table as generated, and its spill
+        # is keyed as submit-ordered: no sort copy is made.
+        from repro.experiments.datasets import workload_dataset
+
+        jobs = workload_dataset("small", 0).google_jobs
+        assert jobs.sort_by("submit_time") == jobs
+
 
 class TestShardedBackend:
     """--backend sharded must render byte-identically to in-memory."""
@@ -241,6 +249,36 @@ class TestShardedBackend:
             sharded_backend(shard_rows=shard_rows)
             rendered = run_experiment("fig5", scale="small", seed=0).render()
             assert rendered == results["fig5"].render(), shard_rows
+
+    def test_memory_backend_folds_in_process(
+        self, results, tmp_path, monkeypatch
+    ):
+        # The memory backend runs each kernel once, here, on the
+        # in-memory table: no spill, no map-reduce pass, no temp dir.
+        import tempfile
+
+        from repro.experiments import datasets
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("memory backend started a map-reduce pass")
+
+        monkeypatch.setattr(datasets, "map_reduce", no_pass)
+        monkeypatch.setattr(datasets, "map_shards", no_pass)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        datasets.configure_backend(None)
+        datasets.configure_cache(None)
+        datasets.reset_dataset_stats()
+        try:
+            for exp_id in self.SHARDED_IDS:
+                rendered = run_experiment(exp_id, scale="small", seed=0).render()
+                assert rendered == results[exp_id].render(), exp_id
+            stats = datasets.dataset_stats()
+        finally:
+            datasets.reset_dataset_stats()
+        assert stats["shard_spills"] == 0
+        mapreduce = {k: v for k, v in stats.items() if k.startswith("mapreduce_")}
+        assert mapreduce and not any(mapreduce.values()), mapreduce
+        assert list(tmp_path.glob("repro-spill-*")) == []
 
     def test_runner_cli_backend_flag(self, capsys):
         assert (
@@ -274,7 +312,10 @@ class TestOutOfCoreChaos:
     recovery counters record what happened.
     """
 
-    def test_fig7_chaos_identical_and_counted(self, results, monkeypatch):
+    @pytest.mark.parametrize("exp_id", ["fig7", "fig13"])
+    def test_chaos_identical_and_counted(self, results, monkeypatch, exp_id):
+        # fig13 makes a second, inline pass over the table the first
+        # pass healed: it must name the table, not reuse the old root.
         import json
 
         from repro.experiments.datasets import (
@@ -312,12 +353,12 @@ class TestOutOfCoreChaos:
         )
         reset_dataset_stats()
         try:
-            rendered = run_experiment("fig7", scale="small", seed=0).render()
+            rendered = run_experiment(exp_id, scale="small", seed=0).render()
             stats = dataset_stats()
         finally:
             configure_backend(None)
             reset_dataset_stats()
-        assert rendered == results["fig7"].render()
+        assert rendered == results[exp_id].render()
         assert stats["mapreduce_crashes"] >= 1
         assert stats["mapreduce_respawns"] >= 1
         assert stats["mapreduce_retries"] >= 1
@@ -381,7 +422,7 @@ class TestShardedCacheRecovery:
         try:
             run_experiment("fig3", scale="small", seed=0)
             manifest = (
-                Path(datasets.sharded_google_jobs("small", 0, 4096))
+                Path(datasets._table_root("google_jobs", "small", 0, 4096))
                 / "manifest.json"
             )
             if damage == "delete":
