@@ -1,7 +1,7 @@
 """Bench: regenerate Table III (unchanged memory usage-level durations)."""
 
 from repro.experiments import tab23_level_durations
-from repro.experiments.datasets import simulation_dataset
+from repro.experiments.datasets import fleet_series
 from repro.experiments.tab23_level_durations import matched_level_comparison
 
 from .conftest import SCALE, SEED
@@ -17,5 +17,4 @@ def test_bench_tab3(benchmark, paper_simulation, save_result):
     # skewed (18/82-26/74).
     assert m["mem_weighted_avg_duration_min"] > 0
     assert all(side < 50 for side in m["mem_joint_small_sides"])
-    data = simulation_dataset(SCALE, SEED)
-    assert matched_level_comparison(data)
+    assert matched_level_comparison(fleet_series(SCALE, SEED))

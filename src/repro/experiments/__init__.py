@@ -4,7 +4,6 @@ from .base import ExperimentResult, ResultTable
 from .datasets import (
     SCALES,
     ScaleSpec,
-    SimulationDataset,
     WorkloadDataset,
     simulation_dataset,
     workload_dataset,
@@ -41,7 +40,6 @@ __all__ = [
     "ResultTable",
     "SCALES",
     "ScaleSpec",
-    "SimulationDataset",
     "WorkloadDataset",
     "run_all",
     "run_experiment",

@@ -25,9 +25,11 @@ Entry schema (one JSON object per benchmark x scale)::
 
 ``peak_rss_kb`` is the process high-water mark after the entry ran
 (``getrusage``; monotone across entries — the paper-pipeline bound is
-its value on a fresh run). ``speedup`` is scalar wall over vectorized
-wall, null for unpaired benches. ``tasks_per_s`` is rows (or tasks)
-processed per vectorized wall-second.
+its value on a fresh run). ``speedup`` is the median, over interleaved
+pairs of calls, of the oracle's (scalar or in-memory) wall over the
+kernel's wall; null for unpaired benches. ``wall_s`` is the kernel's
+best wall, and ``tasks_per_s`` is rows (or tasks) processed per
+kernel wall-second.
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ from ..synth.sharded import shard_task_requests
 from ..traces.schema import priority_band_array
 from ..core.table import Table
 from .datasets import SCALES
-from .fig7_max_load import ATTRIBUTES as _MAXLOAD_ATTRIBUTES
-from .fig7_max_load import _machine_maxima, _merge_maxima
 from .registry import EXPERIMENTS
 
 __all__ = ["main", "run_benchmarks"]
@@ -161,8 +161,8 @@ def _timed(
     """(result, wall seconds, cpu seconds) — best of up to ``max_repeats``.
 
     Sub-``min_wall_s`` calls are re-run and the fastest wall time kept,
-    so the speedup ratios snapshotted for CI gating are not dominated by
-    scheduler noise; anything slower is measured once.
+    so short walls are not dominated by scheduler noise; anything slower
+    is measured once. Speedups are timed by :func:`_timed_pair`.
     """
     timings = Timings()
     best_wall = best_cpu = None
@@ -179,6 +179,50 @@ def _timed(
     return result, best_wall, best_cpu
 
 
+def _timed_pair(
+    fn: Callable[[], object],
+    oracle: Callable[[], object],
+    *,
+    min_pairs: int = 3,
+    max_pairs: int = 25,
+    budget_s: float = 0.25,
+) -> tuple[object, object, float, float, float]:
+    """Time a kernel and its oracle in interleaved pairs.
+
+    Each pair calls both back to back, alternating which goes first,
+    so host drift moves both sides of a pair alike and cancels in the
+    pair's oracle-over-kernel wall ratio. Pairs repeat until both sides
+    together have run ``budget_s`` (at least ``min_pairs``, at most
+    ``max_pairs``). Returns (kernel result, oracle result, best kernel
+    wall, that call's cpu, median per-pair ratio).
+    """
+    timings = Timings()
+    calls = {"fn": fn, "oracle": oracle}
+    results: dict[str, object] = {}
+    best_wall = best_cpu = None
+    ratios: list[float] = []
+    spent = 0.0
+    for i in range(max_pairs):
+        for side in ("fn", "oracle") if i % 2 == 0 else ("oracle", "fn"):
+            with timings.stage(f"{side}{i}"):
+                results[side] = calls[side]()
+        fast = timings.stages[f"fn{i}"]
+        slow = timings.stages[f"oracle{i}"]
+        if best_wall is None or fast.wall_s < best_wall:
+            best_wall, best_cpu = fast.wall_s, fast.cpu_s
+        ratios.append(slow.wall_s / max(fast.wall_s, 1e-9))
+        spent += fast.wall_s + slow.wall_s
+        if i + 1 >= min_pairs and spent >= budget_s:
+            break
+    return (
+        results["fn"],
+        results["oracle"],
+        best_wall,
+        best_cpu,
+        float(np.median(ratios)),
+    )
+
+
 def _entry(
     name: str,
     scale: str,
@@ -186,7 +230,7 @@ def _entry(
     cpu_s: float,
     *,
     tasks: int | None = None,
-    scalar_wall_s: float | None = None,
+    speedup: float | None = None,
 ) -> dict[str, object]:
     return {
         "name": name,
@@ -197,11 +241,7 @@ def _entry(
         "tasks_per_s": (
             None if tasks is None or wall_s <= 0 else round(tasks / wall_s, 1)
         ),
-        "speedup": (
-            None
-            if scalar_wall_s is None or wall_s <= 0
-            else round(scalar_wall_s / wall_s, 2)
-        ),
+        "speedup": None if speedup is None else round(speedup, 2),
     }
 
 
@@ -264,11 +304,15 @@ def _bench_series_extraction(
     scale: str, seed: int
 ) -> tuple[dict[str, object], dict]:
     usage, machines = _synthetic_usage(scale, seed)
-    series, wall, cpu = _timed(lambda: grouped_machine_series(usage, machines))
-    scalar_wall = None
-    if scale not in _SCALAR_SKIP_SCALES:
-        _, scalar_wall, _ = _timed(
-            lambda: _all_machine_series_scalar(usage, machines)
+    speedup = None
+    if scale in _SCALAR_SKIP_SCALES:
+        series, wall, cpu = _timed(
+            lambda: grouped_machine_series(usage, machines)
+        )
+    else:
+        series, _, wall, cpu, speedup = _timed_pair(
+            lambda: grouped_machine_series(usage, machines),
+            lambda: _all_machine_series_scalar(usage, machines),
         )
     entry = _entry(
         "series_extraction",
@@ -276,27 +320,28 @@ def _bench_series_extraction(
         wall,
         cpu,
         tasks=len(usage),
-        scalar_wall_s=scalar_wall,
+        speedup=speedup,
     )
     return entry, {"series": series}
 
 
 def _bench_run_length(scale: str, seed: int, series: dict) -> dict[str, object]:
-    pooled, wall, cpu = _timed(lambda: pooled_series_durations(series, "cpu"))
-    scalar_wall = None
-    if scale not in _SCALAR_SKIP_SCALES:
-        _, scalar_wall, _ = _timed(
-            lambda: _pooled_level_durations_scalar(series, "cpu")
+    speedup = None
+    if scale in _SCALAR_SKIP_SCALES:
+        _, wall, cpu = _timed(lambda: pooled_series_durations(series, "cpu"))
+    else:
+        _, _, wall, cpu, speedup = _timed_pair(
+            lambda: pooled_series_durations(series, "cpu"),
+            lambda: _pooled_level_durations_scalar(series, "cpu"),
         )
     rows = sum(len(s) for s in series.values())
-    del pooled
     return _entry(
         "run_length_segmentation",
         scale,
         wall,
         cpu,
         tasks=rows,
-        scalar_wall_s=scalar_wall,
+        speedup=speedup,
     )
 
 
@@ -332,10 +377,13 @@ def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
         sim = ClusterSimulator(machines, SimConfig(), seed=seed + 2)
         return sim.run(requests, horizon, engine=engine)
 
-    result, wall, cpu = _timed(lambda: run("soa"))
-    scalar_wall = None
-    if scale not in _SCALAR_SKIP_SCALES:
-        scalar_result, scalar_wall, _ = _timed(lambda: run("scalar"))
+    speedup = None
+    if scale in _SCALAR_SKIP_SCALES:
+        result, wall, cpu = _timed(lambda: run("soa"))
+    else:
+        result, scalar_result, wall, cpu, speedup = _timed_pair(
+            lambda: run("soa"), lambda: run("scalar")
+        )
         if scalar_result.task_events != result.task_events:
             raise AssertionError(
                 "sim_drain: SoA engine diverged from scalar golden run"
@@ -346,7 +394,7 @@ def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
         wall,
         cpu,
         tasks=int(result.counts["scheduled"]),
-        scalar_wall_s=scalar_wall,
+        speedup=speedup,
     )
 
 
@@ -459,10 +507,10 @@ def _bench_sharded_reduce(
         )
         # Timed regions cover fold *and* finalize on the sharded side so
         # the ratio against the one-shot batch call is like for like.
-        got_ecdf, wall, cpu = _timed(
-            lambda: map_reduce(sharded, _sharded_ecdf_kernel).finalize()
+        got_ecdf, want_ecdf, wall, cpu, speedup = _timed_pair(
+            lambda: map_reduce(sharded, _sharded_ecdf_kernel).finalize(),
+            lambda: ecdf(values),
         )
-        want_ecdf, mem_wall, _ = _timed(lambda: ecdf(values))
         if not (
             np.array_equal(got_ecdf.values, want_ecdf.values)
             and np.array_equal(got_ecdf.probabilities, want_ecdf.probabilities)
@@ -471,16 +519,16 @@ def _bench_sharded_reduce(
                 "sharded_ecdf: merged ECDF diverged from the in-memory batch"
             )
         entry = _entry(
-            "sharded_ecdf", scale, wall, cpu, tasks=rows, scalar_wall_s=mem_wall
+            "sharded_ecdf", scale, wall, cpu, tasks=rows, speedup=speedup
         )
         entries.append(entry)
         log(f"  sharded_ecdf [{scale}] {entry['wall_s']}s "
             f"speedup={entry['speedup']}")
 
-        got_mc, wall, cpu = _timed(
-            lambda: map_reduce(sharded, _sharded_mass_kernel).finalize()
+        got_mc, want_mc, wall, cpu, speedup = _timed_pair(
+            lambda: map_reduce(sharded, _sharded_mass_kernel).finalize(),
+            lambda: mass_count(values),
         )
-        want_mc, mem_wall, _ = _timed(lambda: mass_count(values))
         if (
             got_mc.mm_distance != want_mc.mm_distance
             or got_mc.joint_ratio != want_mc.joint_ratio
@@ -491,99 +539,11 @@ def _bench_sharded_reduce(
             )
         entry = _entry(
             "sharded_masscount", scale, wall, cpu,
-            tasks=rows, scalar_wall_s=mem_wall,
+            tasks=rows, speedup=speedup,
         )
         entries.append(entry)
         log(f"  sharded_masscount [{scale}] {entry['wall_s']}s "
             f"speedup={entry['speedup']}")
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return entries
-
-
-def _memory_machine_maxima(
-    usage: Table, machines: Table
-) -> dict[int, dict[str, float]]:
-    """In-memory baseline: grouped series extraction, then per-machine max.
-
-    One stable lexsort plus a per-machine series gather
-    (:func:`~repro.hostload.series.grouped_machine_series`), then an
-    absolute max per usage attribute — so ``sharded_hostload``'s
-    speedup measures the shard fold against the grouped-series path on
-    identical outputs, not against a strawman.
-    """
-    series = grouped_machine_series(usage, machines)
-    return {
-        mid: {attr: s.max_load(attr) for attr in _MAXLOAD_ATTRIBUTES}
-        for mid, s in series.items()
-    }
-
-
-def _bench_sharded_hostload(
-    scale: str, seed: int, log: Callable[[str], None]
-) -> list[dict[str, object]]:
-    """Fig. 7 maxima: group-aligned shard fold vs the in-memory series path.
-
-    The sharded side streams machine-major shards through
-    ``np.maximum.reduceat`` (one shard resident at a time); the
-    baseline runs :func:`_memory_machine_maxima`. Results are asserted
-    identical before either entry is recorded. The spill itself is
-    untimed: the dataset cache writes the layout once and every
-    analysis that follows reads it, so the sort cost is amortized
-    exactly as it is in production.
-
-    ``sharded_hostload_pool`` (paper scale only) folds the same kernel
-    through the block worker pool with 4 workers. On a single-core host
-    the entry honestly records worker start-up overhead rather than a
-    speedup (below the 1.5x floor it is exempt from the retention
-    gate); on multi-core hosts it tracks real scaling.
-    """
-    usage, machines = _synthetic_usage(scale, seed)
-    tmp = Path(tempfile.mkdtemp(prefix="repro-bench-hostload-"))
-    entries: list[dict[str, object]] = []
-    try:
-        spill = usage.sort_by("machine_id", "time")
-        sharded = write_table(
-            spill,
-            tmp / "usage",
-            _bench_shard_rows(len(usage)),
-            group_by="machine_id",
-        )
-        del spill
-
-        def fold(jobs: int = 1):
-            return map_reduce(
-                sharded, _machine_maxima, merge=_merge_maxima, jobs=jobs
-            )
-
-        maxima, wall, cpu = _timed(fold)
-        want, mem_wall, _ = _timed(lambda: _memory_machine_maxima(usage, machines))
-        if maxima != want:
-            raise AssertionError(
-                "sharded_hostload: per-machine maxima diverged from the "
-                "grouped-series path"
-            )
-        entry = _entry(
-            "sharded_hostload", scale, wall, cpu,
-            tasks=len(usage), scalar_wall_s=mem_wall,
-        )
-        entries.append(entry)
-        log(f"  sharded_hostload [{scale}] {entry['wall_s']}s "
-            f"speedup={entry['speedup']}")
-
-        if scale == "paper":
-            pooled, wall4, cpu4 = _timed(lambda: fold(4), max_repeats=1)
-            if pooled != want:
-                raise AssertionError(
-                    "sharded_hostload_pool: pooled maxima diverged"
-                )
-            entry = _entry(
-                "sharded_hostload_pool", scale, wall4, cpu4,
-                tasks=len(usage), scalar_wall_s=mem_wall,
-            )
-            entries.append(entry)
-            log(f"  sharded_hostload_pool [{scale}] {entry['wall_s']}s "
-                f"speedup={entry['speedup']} (4 workers)")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return entries
@@ -744,7 +704,7 @@ def _bench_reprolint(log: Callable[[str], None]) -> list[dict[str, object]]:
         _entry(
             "reprolint_warm", "repo", warm_wall, warm_cpu,
             tasks=warm_run.files_checked,
-            scalar_wall_s=cold_wall,
+            speedup=cold_wall / warm_wall,
         ),
     ]
     log(
@@ -797,7 +757,7 @@ def _bench_reprolint_effects(
         _entry(
             "reprolint_effects_warm", "repo", warm_wall, warm_cpu,
             tasks=warm_run.files_checked,
-            scalar_wall_s=cold_wall,
+            speedup=cold_wall / warm_wall,
         ),
     ]
     log(
@@ -851,7 +811,7 @@ def _bench_reprolint_cfg(
         _entry(
             "reprolint_cfg_warm", "repo", warm_wall, warm_cpu,
             tasks=warm_run.files_checked,
-            scalar_wall_s=cold_wall,
+            speedup=cold_wall / warm_wall,
         ),
     ]
     log(
@@ -932,13 +892,6 @@ def run_benchmarks(
         if want("sharded_ecdf") or want("sharded_masscount"):
             entries.extend(
                 e for e in _bench_sharded_reduce(scale, seed, log)
-                if want(e["name"])
-            )
-        if want("sharded_hostload") or (
-            scale == "paper" and want("sharded_hostload_pool")
-        ):
-            entries.extend(
-                e for e in _bench_sharded_hostload(scale, seed, log)
                 if want(e["name"])
             )
         if scale == "paper" and want("sharded_stream_10x"):

@@ -26,12 +26,16 @@ live. This module alone decides that from the active
 process, on the builder's in-memory table as the only shard; under
 ``sharded`` the table is spilled to a
 :class:`~repro.core.shard.ShardedTable` and the same kernel is folded
-over its shards by the supervised map-reduce.
+over its shards by the supervised map-reduce. Every host-load
+experiment reads the per-machine series from :func:`fleet_series`,
+which cuts them from the machine-major ``machine_usage`` table with
+one such kernel; the series themselves are never cached.
 """
 
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import fcntl
 import os
 import shutil
@@ -69,13 +73,13 @@ __all__ = [
     "BackendSpec",
     "ScaleSpec",
     "WorkloadDataset",
-    "SimulationDataset",
     "active_backend",
     "configure_backend",
     "configure_cache",
     "dataset_cache",
     "dataset_stats",
     "default_cache_dir",
+    "fleet_series",
     "fold_table",
     "heal_sharded_table",
     "map_table",
@@ -87,7 +91,7 @@ __all__ = [
 
 #: Bump when a builder, model default, or cached container changes in a
 #: way that alters dataset contents; old disk-cache entries then miss.
-DATASET_CACHE_VERSION = 1
+DATASET_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -198,15 +202,6 @@ class WorkloadDataset:
     google_tasks: TaskRequests  # task-level sample (lengths, priorities)
 
 
-@dataclass(frozen=True)
-class SimulationDataset:
-    """One simulated cluster month plus its per-machine series."""
-
-    result: SimResult
-    series: dict[int, MachineLoadSeries]
-    config: GoogleConfig
-
-
 # -- disk cache wiring --------------------------------------------------------
 
 #: (disk cache instance or None, whether configure_cache was called).
@@ -275,6 +270,7 @@ def configure_cache(
     )
     workload_dataset.cache_clear()
     simulation_dataset.cache_clear()
+    fleet_series.cache_clear()
     _ROOTS.clear()
     return _CACHE
 
@@ -372,8 +368,13 @@ def _build_workload(
 
 
 @lru_cache(maxsize=4)
-def simulation_dataset(scale: str = "paper", seed: int = 0) -> SimulationDataset:
-    """Simulated cluster run at the requested scale (memoized)."""
+def simulation_dataset(scale: str = "paper", seed: int = 0) -> SimResult:
+    """Simulated cluster run at the requested scale (memoized).
+
+    Its ``machine_usage`` is machine-major, sorted by
+    ``(machine_id, time)``, so every machine's series is one contiguous
+    run of rows.
+    """
     spec = _scale(scale)
     return _cached_build(
         "simulation",
@@ -384,7 +385,7 @@ def simulation_dataset(scale: str = "paper", seed: int = 0) -> SimulationDataset
 
 def _build_simulation(
     spec: ScaleSpec, seed: int, config: GoogleConfig
-) -> SimulationDataset:
+) -> SimResult:
     rng = np.random.default_rng(seed + 10)
     machines = generate_machines(spec.num_machines, rng)
     requests = generate_task_requests(
@@ -395,8 +396,12 @@ def _build_simulation(
     )
     sim = ClusterSimulator(machines, SimConfig(), seed=seed + 12)
     result = sim.run(requests, spec.sim_horizon)
-    series = all_machine_series(result.machine_usage, result.machines)
-    return SimulationDataset(result=result, series=series, config=config)
+    # The monitor emits tick-major rows; machine ids are the machines
+    # table's arange, so machine-major order is machines-table order.
+    return dataclasses.replace(
+        result,
+        machine_usage=result.machine_usage.sort_by("machine_id", "time"),
+    )
 
 
 # -- backend ------------------------------------------------------------------
@@ -459,6 +464,7 @@ def configure_backend(spec: BackendSpec | None) -> BackendSpec:
     global _BACKEND, _BACKEND_CONFIGURED
     _BACKEND_CONFIGURED = True
     _BACKEND = spec if spec is not None else BackendSpec()
+    fleet_series.cache_clear()
     os.environ["REPRO_BACKEND"] = _BACKEND.name
     os.environ["REPRO_SHARD_ROWS"] = str(_BACKEND.shard_rows)
     os.environ["REPRO_BACKEND_JOBS"] = str(_BACKEND.jobs)
@@ -736,18 +742,16 @@ _TABLES: dict[str, _TableSpec] = {
             {"duration": workload_dataset(scale, seed).google_tasks.duration}
         ),
     ),
-    # Machine-major (machine_id, time), the element order
-    # grouped_machine_series gathers, cut only at machine boundaries:
-    # each machine's whole series sits in exactly one shard.
+    # Machine-major (machine_id, time), as _build_simulation stores it,
+    # cut only at machine boundaries: each machine's whole series sits
+    # in exactly one shard, where fleet_series' kernel cuts it out.
     "machine_usage": _TableSpec(
         kind="simulation-usage-shards",
         key=lambda scale, seed: {
             **_simulation_key(scale, seed),
             "order": "machine_id,time",
         },
-        build=lambda scale, seed: simulation_dataset(
-            scale, seed
-        ).result.machine_usage.sort_by("machine_id", "time"),
+        build=lambda scale, seed: simulation_dataset(scale, seed).machine_usage,
         group_by="machine_id",
     ),
 }
@@ -864,6 +868,38 @@ def map_table(
         whole = _TABLES[table].build(scale, seed)
         return [kernel(whole, *args)] if whole.num_rows else []
     return _over_shards(map_shards, table, scale, seed, kernel, args, jobs)
+
+
+def _shard_series(shard, machines: Table) -> dict[int, MachineLoadSeries]:
+    """Map kernel: the series of every machine in one usage shard.
+
+    Calls ``all_machine_series`` through this module's binding, which
+    ``bench/tracing.py`` wraps as the ``hostload.series`` layer; the
+    binding itself is never handed to a block worker, since a wrapped
+    function cannot be pickled by name.
+    """
+    return all_machine_series(shard, machines)
+
+
+@lru_cache(maxsize=4)
+def fleet_series(
+    scale: str = "paper", seed: int = 0
+) -> dict[int, MachineLoadSeries]:
+    """Every simulated machine's load series, in machines-table order.
+
+    Cut from the ``machine_usage`` table by one kernel on each shard.
+    Shards are machine-aligned and machine-major, so merging their
+    dicts in shard order gives machines-table order on either backend.
+    Memoized like the builders it reads; callers treat the dict and
+    its series as read-only.
+    """
+    machines = simulation_dataset(scale, seed).machines
+    series: dict[int, MachineLoadSeries] = {}
+    for part in map_table(
+        "machine_usage", scale, seed, _shard_series, args=(machines,)
+    ):
+        series.update(part)
+    return series
 
 
 def grid_system_names() -> list[str]:

@@ -13,23 +13,36 @@ import numpy as np
 from ..core.fairness import hourly_counts
 from ..core.spectral import daily_profile_amplitude
 from .base import ExperimentResult, ResultTable
-from .datasets import grid_system_names, workload_dataset
+from .datasets import fold_table, grid_system_names, workload_dataset
+from .tab1_submission_rate import count_submissions_hourly
 
 __all__ = ["run"]
 
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
-    systems = {"Google": data.google_jobs}
-    systems.update({n: data.grid_jobs[n] for n in grid_system_names()})
+    counts_of = {
+        "Google": fold_table(
+            "google_jobs",
+            scale,
+            seed,
+            count_submissions_hourly,
+            args=(data.horizon,),
+        ).counts()
+    }
+    counts_of.update(
+        {
+            n: hourly_counts(
+                np.asarray(data.grid_jobs[n]["submit_time"]), data.horizon
+            )
+            for n in grid_system_names()
+        }
+    )
 
     rows = []
     amplitudes: dict[str, float] = {}
-    for name, jobs in systems.items():
-        counts = hourly_counts(
-            np.asarray(jobs["submit_time"]), data.horizon
-        ).astype(float)
-        amp = daily_profile_amplitude(counts, 24)
+    for name, counts in counts_of.items():
+        amp = daily_profile_amplitude(counts.astype(float), 24)
         amplitudes[name] = amp
         rows.append((name, round(amp, 3)))
 

@@ -18,7 +18,7 @@ from ..prediction import (
 )
 from ..synth.grid_hostload import generate_grid_host_series
 from .base import ExperimentResult, ResultTable
-from .datasets import SCALES, simulation_dataset
+from .datasets import SCALES, fleet_series
 
 __all__ = ["run"]
 
@@ -33,10 +33,9 @@ def _predictors():
 
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    data = simulation_dataset(scale, seed)
     horizon = SCALES[scale].sim_horizon
 
-    series = list(data.series.values())
+    series = list(fleet_series(scale, seed).values())
     means = np.asarray([s.relative("cpu").mean() for s in series])
     cloud = series[int(np.argmax(means))].relative("cpu")
     _, grid, _ = generate_grid_host_series(horizon, seed + 200)

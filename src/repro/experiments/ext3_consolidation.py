@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..apps.consolidation import consolidation_potential
 from .base import ExperimentResult, ResultTable
-from .datasets import simulation_dataset
+from .datasets import fleet_series
 
 __all__ = ["run"]
 
@@ -17,13 +17,13 @@ _HEADROOMS = (0.05, 0.1, 0.2)
 
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    data = simulation_dataset(scale, seed)
+    series = fleet_series(scale, seed)
 
     rows = []
     reports = {}
     for headroom in _HEADROOMS:
         report = consolidation_potential(
-            data.series, headroom=headroom, stride=12
+            series, headroom=headroom, stride=12
         )
         reports[headroom] = report
         rows.append(

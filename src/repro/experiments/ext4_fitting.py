@@ -14,7 +14,8 @@ import numpy as np
 
 from ..core.fit import fit_best
 from .base import ExperimentResult, ResultTable
-from .datasets import workload_dataset
+from .datasets import fold_table, workload_dataset
+from .fig4_masscount_length import collect_durations
 
 __all__ = ["run"]
 
@@ -23,7 +24,9 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
     rng = np.random.default_rng(seed + 300)
 
-    google = np.asarray(data.google_tasks.duration)
+    google = fold_table(
+        "task_durations", scale, seed, collect_durations
+    ).merged()
     if google.size > 60_000:
         google = rng.choice(google, 60_000, replace=False)
     auvergrid = np.asarray(data.grid_jobs_native["AuverGrid"]["run_time"])

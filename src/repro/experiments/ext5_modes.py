@@ -13,14 +13,14 @@ import numpy as np
 
 from ..hostload.modes import discover_modes
 from .base import ExperimentResult, ResultTable
-from .datasets import simulation_dataset
+from .datasets import fleet_series
 
 __all__ = ["run"]
 
 
 def run(scale: str = "paper", seed: int = 0, k: int = 4) -> ExperimentResult:
-    data = simulation_dataset(scale, seed)
-    modes = discover_modes(data.series, k=k, seed=seed)
+    series = fleet_series(scale, seed)
+    modes = discover_modes(series, k=k, seed=seed)
 
     rows = []
     for j, desc in enumerate(modes.describe()):

@@ -378,6 +378,7 @@ def corrupt_one_cache_entry() -> str | None:
         return None
     datasets.workload_dataset.cache_clear()
     datasets.simulation_dataset.cache_clear()
+    datasets.fleet_series.cache_clear()
     return keys[0]
 
 

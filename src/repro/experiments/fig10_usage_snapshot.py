@@ -15,7 +15,7 @@ from ..core.segments import usage_level_labels
 from ..hostload.levels import level_snapshot
 from ..hostload.priority import band_share
 from .base import ExperimentResult, ResultTable
-from .datasets import SCALES, simulation_dataset
+from .datasets import SCALES, fleet_series
 
 __all__ = ["run"]
 
@@ -28,20 +28,20 @@ _PANELS = (
 
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    data = simulation_dataset(scale, seed)
+    series = fleet_series(scale, seed)
     labels = usage_level_labels()
 
     rows = []
     occupancy: dict[str, np.ndarray] = {}
     for attribute, title in _PANELS:
         snap = level_snapshot(
-            data.series, attribute=attribute, num_machines=50, seed=seed
+            series, attribute=attribute, num_machines=50, seed=seed
         )
         occ = snap.level_occupancy()
         occupancy[attribute] = occ
         rows.append((title, *(round(float(v), 3) for v in occ)))
 
-    shares = band_share(data.series, "cpu")
+    shares = band_share(series, "cpu")
 
     metrics: dict[str, object] = {
         "cpu_low_levels_frac": round(
@@ -59,17 +59,12 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
 
     spec = SCALES[scale]
     if spec.busy_window is not None:
-        cluster = data.result.cluster_series
-        times = np.asarray(cluster["time"])
         start, end = spec.busy_window
+        times = np.concatenate([s.times for s in series.values()])
+        cpu = np.concatenate([s.cpu for s in series.values()])
         busy = (times >= start) & (times < end)
-        calm = ~busy
-        usage = data.result.machine_usage
-        mu_times = np.asarray(usage["time"])
-        mu_busy = (mu_times >= start) & (mu_times < end)
-        cpu = np.asarray(usage["cpu_usage"])
         metrics["busy_window_cpu_uplift"] = round(
-            float(cpu[mu_busy].mean() / max(cpu[~mu_busy].mean(), 1e-12)), 2
+            float(cpu[busy].mean() / max(cpu[~busy].mean(), 1e-12)), 2
         )
 
     return ExperimentResult(

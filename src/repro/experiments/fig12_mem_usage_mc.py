@@ -12,25 +12,25 @@ import numpy as np
 from ..hostload.levels import usage_mass_count
 from ..hostload.priority import band_usage
 from .base import ExperimentResult, ResultTable
-from .datasets import simulation_dataset
+from .datasets import fleet_series
 
 __all__ = ["run"]
 
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    data = simulation_dataset(scale, seed)
+    series = fleet_series(scale, seed)
 
-    mc_all = usage_mass_count(data.series, "mem")
-    mc_high = usage_mass_count(data.series, "mem_high")
+    mc_all = usage_mass_count(series, "mem")
+    mc_high = usage_mass_count(series, "mem_high")
 
     mean_mem = float(
-        np.mean([band_usage(s, "mem", "all").mean() for s in data.series.values()])
+        np.mean([band_usage(s, "mem", "all").mean() for s in series.values()])
     )
     mean_mem_high = float(
-        np.mean([band_usage(s, "mem", "high").mean() for s in data.series.values()])
+        np.mean([band_usage(s, "mem", "high").mean() for s in series.values()])
     )
     mean_cpu = float(
-        np.mean([band_usage(s, "cpu", "all").mean() for s in data.series.values()])
+        np.mean([band_usage(s, "cpu", "all").mean() for s in series.values()])
     )
 
     rows = [

@@ -13,92 +13,19 @@ import numpy as np
 from ..core.noise import autocorrelation, noise_stats
 from ..synth.grid_hostload import GridHostConfig, generate_grid_host_series
 from .base import ExperimentResult, ResultTable
-from .datasets import SCALES, map_table, simulation_dataset
+from .datasets import SCALES, fleet_series
 
 __all__ = ["run"]
 
 
-def _relative_cpu_means(shard, machine_ids, cpu_caps) -> dict[int, float]:
-    """Map kernel: mean relative CPU load per machine in one shard.
-
-    ``machine_ids``/``cpu_caps`` are the machines-table columns; the
-    division uses the same Python-float capacity as
-    ``MachineLoadSeries.relative``, and each machine's samples are a
-    contiguous time-ordered run (machine-major, group-aligned shards),
-    so every mean equals ``relative("cpu").mean()`` of that machine's
-    series bit for bit.
-    """
-    cap_of = dict(
-        zip(
-            np.asarray(machine_ids).tolist(),
-            np.asarray(cpu_caps, dtype=np.float64).tolist(),
-        )
-    )
-    ids = np.asarray(shard["machine_id"])
-    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
-    ends = np.concatenate((starts[1:], [ids.size]))
-    cpu = np.asarray(shard["cpu_usage"])
-    out: dict[int, float] = {}
-    for k, mid in enumerate(ids[starts].tolist()):
-        rel = np.clip(cpu[starts[k] : ends[k]] / cap_of[mid], 0.0, 1.0)
-        out[int(mid)] = float(rel.mean())
-    return out
-
-
-def _host_samples(shard, machine_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map kernel: one machine's CPU and memory samples in one shard."""
-    ids = np.asarray(shard["machine_id"])
-    lo = int(np.searchsorted(ids, machine_id, side="left"))
-    hi = int(np.searchsorted(ids, machine_id, side="right"))
-    return (
-        np.asarray(shard["cpu_usage"])[lo:hi],
-        np.asarray(shard["mem_usage"])[lo:hi],
-    )
-
-
-def _google_host(scale: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Relative CPU/mem series of the machine with the median mean CPU."""
-    machines = simulation_dataset(scale, seed).result.machines
-    mean_of: dict[int, float] = {}
-    for found in map_table(
-        "machine_usage",
-        scale,
-        seed,
-        _relative_cpu_means,
-        args=(
-            np.asarray(machines["machine_id"], dtype=np.int64),
-            np.asarray(machines["cpu_capacity"], dtype=np.float64),
-        ),
-    ):
-        mean_of.update(found)
-    # Machines-table order with duplicates/missing skipped — the order
-    # the per-machine series dict iterates in.
-    row_of: dict[int, int] = {}
-    for i, machine_id in enumerate(machines["machine_id"]):
-        mid = int(machine_id)
-        if mid not in row_of and mid in mean_of:
-            row_of[mid] = i
-    ordered = list(row_of)
-    means = np.asarray([mean_of[mid] for mid in ordered])
-    sel = ordered[int(np.argsort(means)[len(ordered) // 2])]
-    # One machine's rows are a small read: an inline pass (which still
-    # heals) rather than a second pool of block workers.
-    parts = map_table(
-        "machine_usage", scale, seed, _host_samples, args=(sel,), jobs=1
-    )
-    row = row_of[sel]
-    cpu_cap = float(machines["cpu_capacity"][row])
-    mem_cap = float(machines["mem_capacity"][row])
-    cpu, mem = (np.concatenate(column) for column in zip(*parts))
-    return (
-        np.clip(cpu / cpu_cap, 0.0, 1.0),
-        np.clip(mem / mem_cap, 0.0, 1.0),
-    )
-
-
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     horizon = SCALES[scale].sim_horizon
-    g_cpu, g_mem = _google_host(scale, seed)
+    # Google host: the machine with the median mean CPU load.
+    series = list(fleet_series(scale, seed).values())
+    means = np.asarray([s.relative("cpu").mean() for s in series])
+    google = series[int(np.argsort(means)[len(means) // 2])]
+    g_cpu = google.relative("cpu")
+    g_mem = google.relative("mem")
 
     # Grid hosts: synthetic step-load nodes per the Fig. 13 model.
     ag_cfg = GridHostConfig(mean_level_duration=8 * 3600.0)

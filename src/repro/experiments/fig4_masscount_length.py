@@ -16,10 +16,10 @@ from ..synth.presets import DAY
 from .base import ExperimentResult, ResultTable
 from .datasets import fold_table, workload_dataset
 
-__all__ = ["run"]
+__all__ = ["run", "collect_durations"]
 
 
-def _collect_durations(shard) -> MassCountAccumulator:
+def collect_durations(shard) -> MassCountAccumulator:
     """Map kernel: pool one shard's task durations."""
     acc = MassCountAccumulator()
     acc.add(shard["duration"])
@@ -31,7 +31,7 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     # Merging in shard order reassembles the whole duration sample, so
     # every number below is the same for any sharding.
     google_lengths = fold_table(
-        "task_durations", scale, seed, _collect_durations
+        "task_durations", scale, seed, collect_durations
     ).merged()
     ag = data.grid_jobs_native["AuverGrid"]
     ag_lengths = np.asarray(ag["run_time"])

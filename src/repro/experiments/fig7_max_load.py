@@ -8,99 +8,19 @@ distribution with its own spread.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.table import Table
-from ..hostload.maxload import MaxLoadDistribution
+from ..hostload.maxload import max_load_by_capacity
 from .base import ExperimentResult, ResultTable
-from .datasets import fold_table, simulation_dataset
+from .datasets import fleet_series
 
 __all__ = ["run", "ATTRIBUTES"]
 
 ATTRIBUTES = ("cpu", "mem", "mem_assigned", "page_cache")
 
-#: Usage column backing each attribute.
-_USAGE_COLUMN = {
-    "cpu": "cpu_usage",
-    "mem": "mem_usage",
-    "mem_assigned": "mem_assigned",
-    "page_cache": "page_cache",
-}
-
-#: Machines-table capacity column grouping each attribute (mirrors
-#: ``repro.hostload.maxload._CAPACITY_ATTR`` via the machines schema).
-_CAPACITY_COLUMN = {
-    "cpu": "cpu_capacity",
-    "mem": "mem_capacity",
-    "mem_assigned": "mem_capacity",
-    "page_cache": "page_cache_capacity",
-}
-
-
-def _machine_maxima(shard) -> dict[int, dict[str, float]]:
-    """Map kernel: per-machine max of each usage attribute in one shard.
-
-    The usage table is machine-major and its shards are group-aligned,
-    so every machine's full series sits contiguously in exactly one
-    shard; ``np.maximum.reduceat`` over the run starts gives the same
-    float maxima as ``MachineLoadSeries.max_load`` (max is exact under
-    any grouping).
-    """
-    ids = np.asarray(shard["machine_id"])
-    starts = np.concatenate(
-        ([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1)
-    )
-    maxima = {
-        attr: np.maximum.reduceat(np.asarray(shard[col]), starts)
-        for attr, col in _USAGE_COLUMN.items()
-    }
-    return {
-        int(mid): {attr: float(maxima[attr][k]) for attr in ATTRIBUTES}
-        for k, mid in enumerate(ids[starts].tolist())
-    }
-
-
-def _merge_maxima(left: dict, right: dict) -> dict:
-    left.update(right)
-    return left
-
-
-def _max_load_groups(
-    machines: Table, maxima: dict[int, dict[str, float]], attribute: str
-) -> dict[float, MaxLoadDistribution]:
-    """Fig. 7's capacity groups from per-machine maxima.
-
-    Buckets in machines-table order with duplicate/missing machines
-    skipped — the same iteration
-    :func:`~repro.hostload.maxload.max_load_by_capacity` performs over
-    the grouped series dict — so group membership, order, and every
-    float match it.
-    """
-    cap_col = _CAPACITY_COLUMN[attribute]
-    buckets: dict[float, list[float]] = {}
-    seen: set[int] = set()
-    for i, machine_id in enumerate(machines["machine_id"]):
-        mid = int(machine_id)
-        if mid in seen or mid not in maxima:
-            continue
-        seen.add(mid)
-        cap = round(float(machines[cap_col][i]), 6)
-        buckets.setdefault(cap, []).append(maxima[mid][attribute])
-    return {
-        cap: MaxLoadDistribution(
-            attribute=attribute, capacity=cap, max_loads=np.asarray(values)
-        )
-        for cap, values in sorted(buckets.items())
-    }
-
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    machines = simulation_dataset(scale, seed).result.machines
-    maxima = fold_table(
-        "machine_usage", scale, seed, _machine_maxima, merge=_merge_maxima
-    )
+    series = fleet_series(scale, seed)
     groups_of = {
-        attribute: _max_load_groups(machines, maxima or {}, attribute)
+        attribute: max_load_by_capacity(series, attribute)
         for attribute in ATTRIBUTES
     }
 

@@ -29,12 +29,12 @@ def busiest_machine(task_events) -> int:
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = simulation_dataset(scale, seed)
-    events = data.result.task_events
+    events = data.task_events
     mid = busiest_machine(events)
 
     qs = machine_queue_state(events, mid)
     spans = task_spans(events, mid)
-    horizon = data.result.horizon
+    horizon = data.horizon
 
     # Sample the running count hourly for a compact trajectory table.
     sample_times = np.linspace(0.0, horizon, 13)[1:]
@@ -46,7 +46,7 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         for t, r, f, a in zip(sample_times, running, finished, abnormal)
     ]
 
-    cluster = data.result.cluster_series
+    cluster = data.cluster_series
     second_half = cluster.select(
         np.asarray(cluster["time"]) > 0.1 * horizon
     )

@@ -15,19 +15,19 @@ from ..core.masscount import joint_ratio_label, mass_count
 from ..core.segments import QUEUE_STATE_LEVELS, usage_level_labels
 from ..hostload.queues import running_state_durations
 from .base import ExperimentResult, ResultTable
-from .datasets import simulation_dataset
+from .datasets import fleet_series
 
 __all__ = ["run"]
 
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    data = simulation_dataset(scale, seed)
+    series = fleet_series(scale, seed)
     labels = usage_level_labels(QUEUE_STATE_LEVELS)
 
     pooled: dict[int, list[np.ndarray]] = {
         i: [] for i in range(len(QUEUE_STATE_LEVELS) - 1)
     }
-    for s in data.series.values():
+    for s in series.values():
         per_machine = running_state_durations(s.n_running, s.times)
         for lvl, durations in per_machine.items():
             if durations.size:

@@ -12,10 +12,10 @@ from ..core.fairness import HourlyCountsAccumulator, submission_rate_stats
 from .base import ExperimentResult, ResultTable
 from .datasets import fold_table, grid_system_names, workload_dataset
 
-__all__ = ["run", "PAPER_TABLE1"]
+__all__ = ["run", "PAPER_TABLE1", "count_submissions_hourly"]
 
 
-def _hourly_counts(shard, horizon: float) -> HourlyCountsAccumulator:
+def count_submissions_hourly(shard, horizon: float) -> HourlyCountsAccumulator:
     """Map kernel: hourly submission bincount of one shard.
 
     Integer partial counts over a fixed horizon merge exactly under any
@@ -44,7 +44,11 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
     rates = {
         "Google": fold_table(
-            "google_jobs", scale, seed, _hourly_counts, args=(data.horizon,)
+            "google_jobs",
+            scale,
+            seed,
+            count_submissions_hourly,
+            args=(data.horizon,),
         ).finalize()
     }
     rates.update(

@@ -12,13 +12,13 @@ import numpy as np
 
 from ..hostload.levels import duration_stats_by_level, pooled_level_durations
 from .base import ExperimentResult, ResultTable
-from .datasets import simulation_dataset
+from .datasets import fleet_series
 
 __all__ = ["run", "run_cpu", "run_mem"]
 
 
-def _table_for(attribute: str, data) -> tuple[ResultTable, dict[str, object]]:
-    pooled = pooled_level_durations(data.series, attribute)
+def _table_for(attribute: str, series) -> tuple[ResultTable, dict[str, object]]:
+    pooled = pooled_level_durations(series, attribute)
     stats = duration_stats_by_level(pooled)
     rows = []
     for s in stats:
@@ -63,8 +63,7 @@ def _table_for(attribute: str, data) -> tuple[ResultTable, dict[str, object]]:
 
 def run_cpu(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     """Table II (CPU)."""
-    data = simulation_dataset(scale, seed)
-    table, metrics = _table_for("cpu", data)
+    table, metrics = _table_for("cpu", fleet_series(scale, seed))
     return ExperimentResult(
         experiment_id="tab2",
         title="Continuous duration of unchanged CPU usage level",
@@ -81,8 +80,7 @@ def run_cpu(scale: str = "paper", seed: int = 0) -> ExperimentResult:
 
 def run_mem(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     """Table III (memory)."""
-    data = simulation_dataset(scale, seed)
-    table, metrics = _table_for("mem", data)
+    table, metrics = _table_for("mem", fleet_series(scale, seed))
     return ExperimentResult(
         experiment_id="tab3",
         title="Continuous duration of unchanged memory usage level",
@@ -97,7 +95,7 @@ def run_mem(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     )
 
 
-def matched_level_comparison(data) -> bool:
+def matched_level_comparison(series) -> bool:
     """True when CPU levels flip faster than memory levels.
 
     Compared per usage level (both attributes populated with >= 10
@@ -105,8 +103,8 @@ def matched_level_comparison(data) -> bool:
     CPU duration. A level-matched comparison avoids the bias where one
     attribute sits deep inside a level and rarely crosses a boundary.
     """
-    cpu_stats = duration_stats_by_level(pooled_level_durations(data.series, "cpu"))
-    mem_stats = duration_stats_by_level(pooled_level_durations(data.series, "mem"))
+    cpu_stats = duration_stats_by_level(pooled_level_durations(series, "cpu"))
+    mem_stats = duration_stats_by_level(pooled_level_durations(series, "mem"))
     wins = ties = 0
     for c, m in zip(cpu_stats, mem_stats):
         if c.count >= 10 and m.count >= 10:
@@ -118,9 +116,9 @@ def matched_level_comparison(data) -> bool:
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     """Both tables plus the CPU-vs-memory comparison metric."""
-    data = simulation_dataset(scale, seed)
-    cpu_table, cpu_metrics = _table_for("cpu", data)
-    mem_table, mem_metrics = _table_for("mem", data)
+    series = fleet_series(scale, seed)
+    cpu_table, cpu_metrics = _table_for("cpu", series)
+    mem_table, mem_metrics = _table_for("mem", series)
     return ExperimentResult(
         experiment_id="tab2+tab3",
         title="Unchanged usage-level durations (CPU vs memory)",
@@ -128,7 +126,7 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         metrics={
             **cpu_metrics,
             **mem_metrics,
-            "cpu_changes_faster_than_mem": matched_level_comparison(data),
+            "cpu_changes_faster_than_mem": matched_level_comparison(series),
         },
         paper_reference={
             "finding": "CPU usage changes much more frequently than memory",

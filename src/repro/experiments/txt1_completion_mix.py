@@ -14,8 +14,8 @@ __all__ = ["run"]
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = simulation_dataset(scale, seed)
-    mix = data.result.completion_mix()
-    counts = data.result.counts
+    mix = data.completion_mix()
+    counts = data.counts
 
     abnormal = max(mix["abnormal"], 1e-12)
     fail_share = mix["fail"] / abnormal

@@ -14,14 +14,17 @@ import numpy as np
 from ..core.summary import fraction_below
 from ..synth.presets import DAY, HOUR
 from .base import ExperimentResult, ResultTable
-from .datasets import workload_dataset
+from .datasets import fold_table, workload_dataset
+from .fig4_masscount_length import collect_durations
 
 __all__ = ["run"]
 
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
-    google = np.asarray(data.google_tasks.duration)
+    google = fold_table(
+        "task_durations", scale, seed, collect_durations
+    ).merged()
     ag = np.asarray(data.grid_jobs_native["AuverGrid"]["run_time"])
 
     rows = [

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.datasets import simulation_dataset, workload_dataset
+from repro.experiments.datasets import fleet_series, workload_dataset
 from repro.sim import ClusterSimulator, SimConfig
 from repro.synth import (
     GoogleConfig,
@@ -26,9 +26,9 @@ def small_workload():
 
 
 @pytest.fixture(scope="session")
-def small_simulation():
-    """Small-scale simulated cluster (16 machines, 2 days)."""
-    return simulation_dataset("small", seed=0)
+def small_series():
+    """Per-machine series of the small simulated cluster (16 machines, 2 days)."""
+    return fleet_series("small", seed=0)
 
 
 @pytest.fixture(scope="session")

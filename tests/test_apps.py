@@ -74,30 +74,30 @@ class TestPackDemands:
 
 
 class TestConsolidationPotential:
-    def test_on_simulated_fleet(self, small_simulation):
+    def test_on_simulated_fleet(self, small_series):
         report = consolidation_potential(
-            small_simulation.series, headroom=0.1, stride=12
+            small_series, headroom=0.1, stride=12
         )
         assert isinstance(report, ConsolidationReport)
-        assert report.fleet_size == len(small_simulation.series)
+        assert report.fleet_size == len(small_series)
         assert 0 < report.mean_needed <= report.fleet_size
         assert 0 <= report.mean_shutoff_fraction < 1
         assert report.peak_needed >= report.machines_needed.min()
 
-    def test_idle_fleet_consolidates_heavily(self, small_simulation):
+    def test_idle_fleet_consolidates_heavily(self, small_series):
         """A lightly loaded cluster should free a large fleet share."""
         report = consolidation_potential(
-            small_simulation.series, headroom=0.05, stride=24
+            small_series, headroom=0.05, stride=24
         )
         # Simulated CPU ~28%, memory ~56% of capacity: memory binds, but
         # a meaningful share of machines must still be freeable.
         assert report.mean_shutoff_fraction > 0.1
 
-    def test_validation(self, small_simulation):
+    def test_validation(self, small_series):
         with pytest.raises(ValueError):
             consolidation_potential({}, headroom=0.1)
         with pytest.raises(ValueError):
-            consolidation_potential(small_simulation.series, stride=0)
+            consolidation_potential(small_series, stride=0)
 
 
 class TestUsers:

@@ -218,11 +218,23 @@ class TestDatasets:
         jobs = workload_dataset("small", 0).google_jobs
         assert jobs.sort_by("submit_time") == jobs
 
+    def test_machine_usage_machine_major(self):
+        # The builder stores usage rows machine-major once; group-aligned
+        # usage shards then hold whole machine series.
+        from repro.experiments.datasets import simulation_dataset
+
+        usage = simulation_dataset("small", 0).machine_usage
+        assert usage.sort_by("machine_id", "time") == usage
+
 
 class TestShardedBackend:
     """--backend sharded must render byte-identically to in-memory."""
 
-    SHARDED_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig13", "tab1")
+    SHARDED_IDS = (
+        "fig2", "fig3", "fig4", "fig5", "tab1", "fig6", "fig7", "fig9",
+        "fig10", "tab2", "tab3", "fig11", "fig12", "fig13", "txt2", "ext1",
+        "ext2", "ext3", "ext4", "ext5",
+    )
 
     @pytest.fixture()
     def sharded_backend(self):
@@ -245,10 +257,13 @@ class TestShardedBackend:
         assert rendered == results["fig7"].render()
 
     def test_shard_size_invariant(self, results, sharded_backend):
+        # At small scale 1,000-row usage shards hold one machine each
+        # and 30,000-row shards hold all 16.
         for shard_rows in (1000, 30_000):
             sharded_backend(shard_rows=shard_rows)
-            rendered = run_experiment("fig5", scale="small", seed=0).render()
-            assert rendered == results["fig5"].render(), shard_rows
+            for exp_id in ("fig5", "tab2"):
+                rendered = run_experiment(exp_id, scale="small", seed=0).render()
+                assert rendered == results[exp_id].render(), (exp_id, shard_rows)
 
     def test_memory_backend_folds_in_process(
         self, results, tmp_path, monkeypatch
@@ -314,8 +329,7 @@ class TestOutOfCoreChaos:
 
     @pytest.mark.parametrize("exp_id", ["fig7", "fig13"])
     def test_chaos_identical_and_counted(self, results, monkeypatch, exp_id):
-        # fig13 makes a second, inline pass over the table the first
-        # pass healed: it must name the table, not reuse the old root.
+        # Both read the usage table through fleet_series' one pass.
         import json
 
         from repro.experiments.datasets import (

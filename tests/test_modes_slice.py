@@ -51,23 +51,23 @@ class TestKmeans:
 
 
 class TestModes:
-    def test_features_shape(self, small_simulation):
-        s = next(iter(small_simulation.series.values()))
+    def test_features_shape(self, small_series):
+        s = next(iter(small_series.values()))
         feats = machine_features(s)
         assert feats.shape == (len(FEATURE_NAMES),)
         assert np.all(np.isfinite(feats))
 
-    def test_discover_modes(self, small_simulation):
-        modes = discover_modes(small_simulation.series, k=3, seed=0)
+    def test_discover_modes(self, small_series):
+        modes = discover_modes(small_series, k=3, seed=0)
         assert modes.num_modes == 3
         assert modes.labels.shape == modes.machine_ids.shape
-        assert modes.mode_sizes().sum() == len(small_simulation.series)
+        assert modes.mode_sizes().sum() == len(small_series)
         descr = modes.describe()
         assert len(descr) == 3
         assert all("cpu_mean" in d for d in descr)
 
-    def test_members_partition(self, small_simulation):
-        modes = discover_modes(small_simulation.series, k=2, seed=1)
+    def test_members_partition(self, small_series):
+        modes = discover_modes(small_series, k=2, seed=1)
         all_members = np.sort(
             np.concatenate([modes.members(j) for j in range(2)])
         )
@@ -77,9 +77,9 @@ class TestModes:
         with pytest.raises(ValueError):
             discover_modes({}, k=2)
 
-    def test_deterministic(self, small_simulation):
-        a = discover_modes(small_simulation.series, k=3, seed=5)
-        b = discover_modes(small_simulation.series, k=3, seed=5)
+    def test_deterministic(self, small_series):
+        a = discover_modes(small_series, k=3, seed=5)
+        b = discover_modes(small_series, k=3, seed=5)
         np.testing.assert_array_equal(a.labels, b.labels)
 
 

@@ -63,14 +63,9 @@ class TestDatasetDiskCache:
         second = datasets.simulation_dataset("small", 0)
         stats = datasets.dataset_stats()
         assert stats["simulation_builds"] == 1
-        assert second.result.task_events == first.result.task_events
-        assert second.result.machine_usage == first.result.machine_usage
-        assert second.result.counts == first.result.counts
-        assert set(second.series) == set(first.series)
-        mid = next(iter(first.series))
-        np.testing.assert_array_equal(
-            second.series[mid].cpu, first.series[mid].cpu
-        )
+        assert second.task_events == first.task_events
+        assert second.machine_usage == first.machine_usage
+        assert second.counts == first.counts
 
     def test_disabled_cache_always_builds(self, cache_dir):
         datasets.configure_cache(None)
