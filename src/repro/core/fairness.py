@@ -31,10 +31,14 @@ def jain_fairness(x: np.ndarray) -> float:
         raise ValueError("input must be non-empty")
     if np.any(x < 0):
         raise ValueError("fairness index requires non-negative values")
-    denom = x.size * np.sum(x * x)
-    if denom == 0:
+    peak = x.max()
+    if peak == 0:
         return 1.0  # all-zero allocation is trivially even
-    return float(np.sum(x) ** 2 / denom)
+    # The index is scale-free, so divide by the peak first: the squares
+    # of a tiny sample would otherwise underflow and push the index
+    # outside [1/n, 1].
+    x = x / peak
+    return float(np.sum(x) ** 2 / (x.size * np.sum(x * x)))
 
 
 def hourly_counts(submit_times: np.ndarray, horizon: float | None = None) -> np.ndarray:

@@ -204,8 +204,6 @@ class Executor:
     * A stop at process exit never runs in an experiment worker, which
       is SIGTERMed right after it reports; the server would leak, and
       the CPU of every block worker with it.
-    * A server started with the pass sees the current ``REPRO_*``
-      environment, which its workers inherit from it.
     * CPython's forkserver never preloads ``__main__``, so each worker
       re-runs the main module in ``prepare()``; that is cheap only once
       the main module's imports are preloaded.

@@ -1,13 +1,14 @@
-"""``repro-bench``: tracked kernel + experiment benchmark harness.
+"""``repro-bench``: tracked kernel benchmark harness.
 
 Times the vectorized analysis/simulation kernels against their scalar
-golden references, the chunked paper-scale host-load pipeline, the
+golden references, the chunked paper-scale host-load pipeline, and the
 out-of-core sharded backend against the in-memory batch path (plus a
 spawn-isolated 10x-paper streaming run whose ``peak_rss_kb`` is the
-bounded-memory claim), and every registered experiment, at one or more
-dataset scales. Results
-land in ``benchmarks/BENCH_<n>.json`` snapshots (``n`` auto-increments)
-and each run diffs itself against the previous snapshot, flagging
+bounded-memory claim), at one or more dataset scales. The experiments
+and ``repro-lint`` are timed end to end, each in a fresh process, by
+the repository's ``bench/`` harness, not here. Results land in
+``benchmarks/BENCH_<n>.json`` snapshots (``n`` auto-increments) and
+each run diffs itself against the previous snapshot, flagging
 regressions.
 
 Regression policy: by default only *speedup ratios* are compared —
@@ -78,8 +79,6 @@ from ..synth.presets import DAY, HOUR
 from ..synth.sharded import shard_task_requests
 from ..traces.schema import priority_band_array
 from ..core.table import Table
-from .datasets import SCALES
-from .registry import EXPERIMENTS
 
 __all__ = ["main", "run_benchmarks"]
 
@@ -651,193 +650,10 @@ def _bench_sharded_stream_10x(
     return entry
 
 
-def _lint_root() -> Path | None:
-    """Repo root holding the lintable source tree, if we run from one.
-
-    Walks up from this file looking for ``pyproject.toml`` with a
-    ``[tool.reprolint]`` table; returns None under an installed wheel,
-    where there is no tree to lint and the bench entry is skipped.
-    """
-    for parent in Path(__file__).resolve().parents:
-        marker = parent / "pyproject.toml"
-        if marker.is_file() and "[tool.reprolint]" in marker.read_text():
-            return parent
-    return None
-
-
-def _bench_reprolint(log: Callable[[str], None]) -> list[dict[str, object]]:
-    """Cold and warm-cache lint of the repo's own src tree.
-
-    The warm entry's speedup (cold wall over warm wall) tracks the
-    incremental cache's payoff: a warm run re-analyzes nothing, so the
-    ratio collapsing toward 1x means invalidation broke.
-    """
-    root = _lint_root()
-    if root is None:
-        log("  reprolint: no source tree found, skipped")
-        return []
-    # The analysis layer sits above experiments by design; the bench
-    # harness measures every subsystem, so this one import crosses up.
-    from ..analysis.engine import lint_paths  # reprolint: disable=REP301
-
-    cache_dir = Path(tempfile.mkdtemp(prefix="reprolint-bench-"))
-    try:
-        run, cold_wall, cold_cpu = _timed(
-            lambda: lint_paths(
-                [root / "src"], root=root, cache_dir=cache_dir
-            ),
-            max_repeats=1,
-        )
-        warm_run, warm_wall, warm_cpu = _timed(
-            lambda: lint_paths(
-                [root / "src"], root=root, cache_dir=cache_dir
-            ),
-            max_repeats=1,
-        )
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    entries = [
-        _entry(
-            "reprolint_cold", "repo", cold_wall, cold_cpu,
-            tasks=run.files_checked,
-        ),
-        _entry(
-            "reprolint_warm", "repo", warm_wall, warm_cpu,
-            tasks=warm_run.files_checked,
-            speedup=cold_wall / warm_wall,
-        ),
-    ]
-    log(
-        f"  reprolint [repo] cold={cold_wall:.2f}s warm={warm_wall:.2f}s "
-        f"files={run.files_checked} warm_analyzed={warm_run.files_analyzed}"
-    )
-    return entries
-
-
-def _bench_reprolint_effects(
-    log: Callable[[str], None],
-) -> list[dict[str, object]]:
-    """Cold/warm lint restricted to the parallel-safety effect rules.
-
-    Isolates what the effect fixpoint (worker reachability, boundary
-    sites, ordered-sink flow) costs on top of parsing, and proves the
-    filtered config keys its own warm cache (files_analyzed == 0 on
-    the second run).
-    """
-    root = _lint_root()
-    if root is None:
-        log("  reprolint_effects: no source tree found, skipped")
-        return []
-    from ..analysis.engine import lint_paths  # reprolint: disable=REP301
-
-    effect_rules = ("REP103", "REP203", "REP303")
-    cache_dir = Path(tempfile.mkdtemp(prefix="reprolint-effects-bench-"))
-    try:
-        run, cold_wall, cold_cpu = _timed(
-            lambda: lint_paths(
-                [root / "src"], root=root, cache_dir=cache_dir,
-                select=effect_rules,
-            ),
-            max_repeats=1,
-        )
-        warm_run, warm_wall, warm_cpu = _timed(
-            lambda: lint_paths(
-                [root / "src"], root=root, cache_dir=cache_dir,
-                select=effect_rules,
-            ),
-            max_repeats=1,
-        )
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    entries = [
-        _entry(
-            "reprolint_effects_cold", "repo", cold_wall, cold_cpu,
-            tasks=run.files_checked,
-        ),
-        _entry(
-            "reprolint_effects_warm", "repo", warm_wall, warm_cpu,
-            tasks=warm_run.files_checked,
-            speedup=cold_wall / warm_wall,
-        ),
-    ]
-    log(
-        f"  reprolint_effects [repo] cold={cold_wall:.2f}s "
-        f"warm={warm_wall:.2f}s files={run.files_checked} "
-        f"warm_analyzed={warm_run.files_analyzed}"
-    )
-    return entries
-
-
-def _bench_reprolint_cfg(
-    log: Callable[[str], None],
-) -> list[dict[str, object]]:
-    """Cold/warm lint restricted to the crash-consistency CFG rules.
-
-    Isolates what the per-function abstract interpretation (path and
-    handle lattices, exception-path tracking) plus the lifecycle-fact
-    fixpoint costs, and proves the filtered config keys its own warm
-    cache (files_analyzed == 0 on the second run).
-    """
-    root = _lint_root()
-    if root is None:
-        log("  reprolint_cfg: no source tree found, skipped")
-        return []
-    from ..analysis.engine import lint_paths  # reprolint: disable=REP301
-
-    cfg_rules = ("REP801", "REP802", "REP803")
-    cache_dir = Path(tempfile.mkdtemp(prefix="reprolint-cfg-bench-"))
-    try:
-        run, cold_wall, cold_cpu = _timed(
-            lambda: lint_paths(
-                [root / "src"], root=root, cache_dir=cache_dir,
-                select=cfg_rules,
-            ),
-            max_repeats=1,
-        )
-        warm_run, warm_wall, warm_cpu = _timed(
-            lambda: lint_paths(
-                [root / "src"], root=root, cache_dir=cache_dir,
-                select=cfg_rules,
-            ),
-            max_repeats=1,
-        )
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    entries = [
-        _entry(
-            "reprolint_cfg_cold", "repo", cold_wall, cold_cpu,
-            tasks=run.files_checked,
-        ),
-        _entry(
-            "reprolint_cfg_warm", "repo", warm_wall, warm_cpu,
-            tasks=warm_run.files_checked,
-            speedup=cold_wall / warm_wall,
-        ),
-    ]
-    log(
-        f"  reprolint_cfg [repo] cold={cold_wall:.2f}s "
-        f"warm={warm_wall:.2f}s files={run.files_checked} "
-        f"warm_analyzed={warm_run.files_analyzed}"
-    )
-    return entries
-
-
-def _bench_experiments(
-    scale: str, seed: int, log: Callable[[str], None]
-) -> list[dict[str, object]]:
-    entries = []
-    for exp_id, fn in EXPERIMENTS.items():
-        _, wall, cpu = _timed(lambda: fn(scale=scale, seed=seed))
-        entries.append(_entry(f"exp:{exp_id}", scale, wall, cpu))
-        log(f"  exp:{exp_id} [{scale}] {wall:.2f}s")
-    return entries
-
-
 def run_benchmarks(
     scales: Sequence[str],
     seed: int = 0,
     *,
-    experiments: bool = True,
     only: Sequence[str] | None = None,
     log: Callable[[str], None] = lambda _msg: None,
 ) -> list[dict[str, object]]:
@@ -896,12 +712,6 @@ def run_benchmarks(
             )
         if scale == "paper" and want("sharded_stream_10x"):
             entries.append(_bench_sharded_stream_10x(seed, log))
-        if experiments and scale in SCALES and only is None:
-            entries.extend(_bench_experiments(scale, seed, log))
-    if only is None:
-        entries.extend(_bench_reprolint(log))
-        entries.extend(_bench_reprolint_effects(log))
-        entries.extend(_bench_reprolint_cfg(log))
     return entries
 
 
@@ -969,7 +779,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description=(
-            "Benchmark the vectorized kernels and registered experiments; "
+            "Benchmark the vectorized kernels against their oracles; "
             "write a BENCH_<n>.json snapshot and diff it against the "
             "previous one."
         ),
@@ -1008,18 +818,13 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--skip-experiments",
-        action="store_true",
-        help="benchmark only the kernels, not the registered experiments",
-    )
-    parser.add_argument(
         "--only",
         action="append",
         metavar="NAME",
         default=None,
         help=(
             "run only the named benchmark families (repeatable), e.g. "
-            "--only sim_drain; skips experiments and lint benchmarks"
+            "--only sim_drain"
         ),
     )
     parser.add_argument(
@@ -1042,7 +847,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     entries = run_benchmarks(
         scales,
         args.seed,
-        experiments=not args.skip_experiments,
         only=args.only,
         log=log,
     )

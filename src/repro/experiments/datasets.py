@@ -446,52 +446,26 @@ class BackendSpec:
             raise ValueError(f"unknown verify mode {self.verify!r}")
 
 
-#: (active backend or None, whether configure_backend was called).
-_BACKEND: BackendSpec | None = None
-_BACKEND_CONFIGURED = False
+#: The experiment backend; :func:`configure_backend` replaces it.
+_BACKEND = BackendSpec()
 
 
 def configure_backend(spec: BackendSpec | None) -> BackendSpec:
     """Select the experiment backend (None restores the default).
 
-    The choice is also exported via ``REPRO_BACKEND``/
-    ``REPRO_SHARD_ROWS``/``REPRO_BACKEND_JOBS`` so workers that hold
-    none of this process's module state — map-reduce block workers,
-    forked from a forkserver that each pass starts with the current
-    environment — resolve the same backend; forked experiment workers
-    inherit the module state directly.
+    The choice lives in this module only. Forked experiment workers
+    inherit it; map-reduce block workers never read it, since each
+    block gets the table root, verify mode, kernel and fault hook as
+    arguments.
     """
-    global _BACKEND, _BACKEND_CONFIGURED
-    _BACKEND_CONFIGURED = True
+    global _BACKEND
     _BACKEND = spec if spec is not None else BackendSpec()
     fleet_series.cache_clear()
-    os.environ["REPRO_BACKEND"] = _BACKEND.name
-    os.environ["REPRO_SHARD_ROWS"] = str(_BACKEND.shard_rows)
-    os.environ["REPRO_BACKEND_JOBS"] = str(_BACKEND.jobs)
-    os.environ["REPRO_BLOCK_TIMEOUT"] = (
-        "" if _BACKEND.block_timeout is None else str(_BACKEND.block_timeout)
-    )
-    os.environ["REPRO_BLOCK_RETRIES"] = str(_BACKEND.block_retries)
-    os.environ["REPRO_VERIFY_SHARDS"] = _BACKEND.verify
     return _BACKEND
 
 
 def active_backend() -> BackendSpec:
-    """The configured backend, honouring ``REPRO_BACKEND`` by default."""
-    global _BACKEND, _BACKEND_CONFIGURED
-    if not _BACKEND_CONFIGURED:
-        _BACKEND_CONFIGURED = True
-        timeout = os.environ.get("REPRO_BLOCK_TIMEOUT", "")
-        _BACKEND = BackendSpec(
-            name=os.environ.get("REPRO_BACKEND", "memory"),
-            shard_rows=int(os.environ.get("REPRO_SHARD_ROWS", "1000000")),
-            jobs=int(os.environ.get("REPRO_BACKEND_JOBS", "1")),
-            block_timeout=float(timeout) if timeout else None,
-            block_retries=int(os.environ.get("REPRO_BLOCK_RETRIES", "2")),
-            verify=os.environ.get("REPRO_VERIFY_SHARDS", "lazy"),
-        )
-    if _BACKEND is None:
-        _BACKEND = BackendSpec()
+    """The backend :func:`configure_backend` last selected."""
     return _BACKEND
 
 
@@ -508,23 +482,6 @@ def _cleanup_spills() -> None:
 
 
 atexit.register(_cleanup_spills)
-
-
-@dataclass(frozen=True)
-class _ShardSource:
-    """How to re-derive one sharded table if its bytes go bad."""
-
-    kind: str
-    key: str | None  # disk-cache key, None for tmp spills
-    rebuild: object  # () -> fresh root path string
-
-
-#: Root path string -> recipe to quarantine-and-rebuild that table.
-#: Every path handed out by :func:`_sharded_build` is registered here,
-#: which is what lets :func:`heal_sharded_table` treat shard corruption
-#: like any other cache corruption: park the bytes, rebuild from the
-#: (pure, memoized) upstream builder, hand back a good root.
-_SHARD_SOURCES: dict[str, _ShardSource] = {}
 
 
 def _spill_hook(kind: str):
@@ -600,6 +557,19 @@ def _spill_lock(path: Path) -> Iterator[None]:
         yield
 
 
+def _spill_key(
+    kind: str, key_parts: dict[str, object], shard_rows: int
+) -> str:
+    """Disk-cache key of one table spill."""
+    return cache_key(
+        kind=kind,
+        version=DATASET_CACHE_VERSION,
+        repro=__version__,
+        shard_rows=shard_rows,
+        **key_parts,
+    )
+
+
 def _sharded_build(
     kind: str,
     key_parts: dict[str, object],
@@ -617,35 +587,16 @@ def _sharded_build(
     deterministic per-key path under ``<cache>/.spill/`` so a process
     killed mid-spill leaves a journaled partial that the next attempt
     resumes instead of restarting, and processes that miss the same key
-    at once take turns on a lock beside it. Every returned root is
-    registered in :data:`_SHARD_SOURCES` for :func:`heal_sharded_table`.
+    at once take turns on a lock beside it.
     """
-
-    def register(path: str) -> str:
-        _SHARD_SOURCES[path] = _ShardSource(
-            kind=kind,
-            key=key if cache is not None else None,
-            rebuild=lambda: _sharded_build(
-                kind, key_parts, build_table, shard_rows, group_by
-            ),
-        )
-        return path
-
     cache = dataset_cache()
-    key = None
     if cache is None:
-        return register(_tmp_spill(build_table(), shard_rows, group_by, kind))
-    key = cache_key(
-        kind=kind,
-        version=DATASET_CACHE_VERSION,
-        repro=__version__,
-        shard_rows=shard_rows,
-        **key_parts,
-    )
+        return _tmp_spill(build_table(), shard_rows, group_by, kind)
+    key = _spill_key(kind, key_parts, shard_rows)
     path = cache.get_path(key)
     if path is not MISS:
         _STATS["disk_hits"] += 1
-        return register(str(path))
+        return str(path)
     stage = cache.root / ".spill" / key[:16]
     with _spill_lock(stage.with_name(f"{stage.name}.lock")):
         # Workers that miss the same table at once share one staging
@@ -654,7 +605,7 @@ def _sharded_build(
         path = cache.get_path(key)
         if path is not MISS:
             _STATS["disk_hits"] += 1
-            return register(str(path))
+            return str(path)
         _STATS["disk_misses"] += 1
         table = build_table()
         stage.mkdir(parents=True, exist_ok=True)
@@ -664,10 +615,10 @@ def _sharded_build(
         shutil.rmtree(stage, ignore_errors=True)
     path = cache.get_path(key)
     if path is not MISS:
-        return register(str(path))
+        return str(path)
     # The entry was evicted before first use (cache budget smaller than
     # the spill) — fall back to a process-local spill.
-    return register(_tmp_spill(table, shard_rows, group_by, kind))
+    return _tmp_spill(table, shard_rows, group_by, kind)
 
 
 def heal_sharded_table(root: str, message: str) -> str | None:
@@ -676,26 +627,25 @@ def heal_sharded_table(root: str, message: str) -> str | None:
     The recovery path behind every :class:`ShardIntegrityError`: the
     damaged bytes are parked (disk-cache quarantine for cached tables,
     deletion for tmp spills) and the table is rebuilt from its pure
-    upstream builder — byte-identical by construction. Every table name
+    upstream builder — byte-identical by construction. The table name
     that resolved to the damaged root resolves to the new one from now
     on. Returns the fresh root, or ``None`` for a root this process
     never derived (the caller then re-raises).
     """
     root = str(root)
-    source = _SHARD_SOURCES.pop(root, None)
-    if source is None:
+    memo = next((m for m, path in _ROOTS.items() if path == root), None)
+    if memo is None:
         return None
     _STATS["shards_quarantined"] += 1
+    table, scale, seed, shard_rows = memo
+    spec = _TABLES[table]
     cache = dataset_cache()
-    if source.key is not None and cache is not None:
-        cache.quarantine_entry(source.key)
-    else:
+    key = _spill_key(spec.kind, spec.key(scale, seed), shard_rows)
+    if cache is None or not cache.quarantine_entry(key):
         shutil.rmtree(root, ignore_errors=True)
-    new_root = source.rebuild()
+    del _ROOTS[memo]
+    new_root = _table_root(*memo)
     _STATS["shards_rederived"] += 1
-    for memo, path in _ROOTS.items():
-        if path == root:
-            _ROOTS[memo] = new_root
     return new_root
 
 
@@ -756,8 +706,9 @@ _TABLES: dict[str, _TableSpec] = {
     ),
 }
 
-#: (table, scale, seed, shard_rows) -> root of that table's spill.
-#: :func:`heal_sharded_table` repoints an entry at the re-derived root,
+#: (table, scale, seed, shard_rows) -> root of that table's spill: the
+#: one record of every spill this process made. :func:`heal_sharded_table`
+#: finds a damaged root here and re-derives it through :func:`_table_root`,
 #: so a pass that names a table after another pass healed it reads the
 #: healed copy.
 _ROOTS: dict[tuple[str, str, int, int], str] = {}

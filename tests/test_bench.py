@@ -93,32 +93,27 @@ class TestSyntheticInputs:
 class TestCli:
     def test_small_scale_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "snaps"
-        code = main(
-            [
-                "--scale", "small",
-                "--skip-experiments",
-                "--out", str(out),
-                "--check",
-            ]
-        )
+        code = main(["--scale", "small", "--out", str(out), "--check"])
         assert code == 0
         snap_path = out / "BENCH_3.json"
         assert snap_path.exists()
         snapshot = json.loads(snap_path.read_text())
         names = {e["name"] for e in snapshot["entries"]}
-        assert {
+        assert names == {
             "series_extraction",
             "run_length_segmentation",
             "mass_count_accumulation",
             "sim_drain",
             "chunked_generation",
             "hostload_pipeline",
-        } <= names
+            "sharded_ecdf",
+            "sharded_masscount",
+        }
         for entry in snapshot["entries"]:
             assert entry["wall_s"] >= 0
             assert entry["peak_rss_kb"] > 0
         # A second run diffs against the first and numbers itself 4.
-        assert main(["--scale", "small", "--skip-experiments", "--out", str(out), "--check"]) == 0
+        assert main(["--scale", "small", "--out", str(out), "--check"]) == 0
         assert (out / "BENCH_4.json").exists()
 
     def test_only_filter_restricts_families(self, tmp_path):
