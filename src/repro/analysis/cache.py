@@ -30,9 +30,9 @@ from ..core.diskcache import MISS, DiskCache, cache_key
 
 __all__ = ["LintCache", "MISS"]
 
-#: Bump when summary shape, diagnostic semantics or key derivation
-#: change; old entries then miss instead of decoding garbage.
-ENGINE_VERSION = "repro-lint/4"
+#: Bump when summary shape, diagnostic semantics, key derivation or the
+#: cache's entry format change; old entries then miss, not quarantine.
+ENGINE_VERSION = "repro-lint/5"
 
 
 class LintCache:

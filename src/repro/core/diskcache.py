@@ -12,26 +12,32 @@ Storage layout (one directory per entry, content-addressed)::
 
     <root>/<key[:2]>/<key>/
         skeleton.pkl   object tree with arrays replaced by references
-        data.npz       the referenced NumPy arrays (compressed)
-        meta.json      key + payload size, for inspection/eviction
+        a<i>.npy       array i as a bare .npy file (the shard column format)
+        payload/       a put_path tree, in place of the two above
+        meta.json      key, payload size and one sha256 per a<i>.npy
 
 Entries are written into a temp directory and renamed into place, so
-readers never observe a half-written entry. Reads refresh the entry's
-mtime; eviction drops the least-recently-used entries once the cache
-exceeds its entry or byte budget. A corrupted entry (truncated file,
-unpicklable skeleton) is moved into a ``.quarantine/`` directory —
-kept for post-mortem inspection, never served again — and reported as
-a miss, so the caller transparently rebuilds it; the ``quarantined``
-counter surfaces the event in the run's timing footer. An entry that
-simply *vanishes* mid-read (a concurrent process evicted it between
-the existence check and the open) is a plain miss, not corruption.
+readers never observe a half-written entry; ``meta.json`` marks a
+complete one. Reads refresh the entry's mtime; eviction drops the
+least-recently-used entries once the cache exceeds its entry or byte
+budget. An instance rescans the root only when its tally (entries and
+bytes at its last scan, plus its own puts since) crosses a budget, so
+entries other processes add are counted at its next scan. A corrupted
+entry (truncated file, unpicklable skeleton, an array that fails its
+digest) is moved into a ``.quarantine/`` directory — kept for
+post-mortem inspection, never served again — and reported as a miss,
+so the caller transparently rebuilds it; the ``quarantined`` counter
+surfaces the event in the run's timing footer. An entry that simply
+*vanishes* mid-read (a concurrent process evicted it between the
+existence check and the open) is a plain miss, not corruption.
 
 The codec is structural, not type-specific: it walks dataclasses,
 dicts, lists/tuples and :class:`~repro.core.table.Table` instances,
-extracting every NumPy array into one ``npz`` payload and pickling the
-remaining skeleton. That covers ``Table``, ``SimResult``,
-``MachineLoadSeries`` and the dataset containers without this layer-0
-module importing anything above ``core``.
+writing every NumPy array with :func:`repro.core.fsutil.write_npy`
+(the shard column writer) and pickling the remaining skeleton. That
+covers ``Table``, ``SimResult``, ``MachineLoadSeries`` and the dataset
+containers without this layer-0 module importing anything above
+``core``.
 """
 
 from __future__ import annotations
@@ -43,12 +49,13 @@ import os
 import pickle
 import shutil
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .fsutil import publish_atomically, remove_durable
+from .fsutil import file_sha256, publish_atomically, remove_durable, write_npy
 from .table import Table
 
 __all__ = [
@@ -180,14 +187,14 @@ def cache_key(**components: object) -> str:
 
 @dataclass(frozen=True)
 class _ArrayRef:
-    """Placeholder for an array stored in the entry's npz payload."""
+    """Placeholder for an array stored in the entry's ``a<index>.npy``."""
 
     index: int
 
 
 @dataclass(frozen=True)
 class _TableRef:
-    """Placeholder for a Table; columns reference npz arrays."""
+    """Placeholder for a Table; columns reference stored arrays."""
 
     columns: tuple[tuple[str, "_ArrayRef"], ...]
 
@@ -232,10 +239,10 @@ def _encode(obj: object, arrays: list[np.ndarray]) -> object:
     return obj
 
 
-def _decode(obj: object, arrays: dict[str, np.ndarray]) -> object:
+def _decode(obj: object, arrays: list[np.ndarray]) -> object:
     """Inverse of :func:`_encode`."""
     if isinstance(obj, _ArrayRef):
-        return arrays[f"a{obj.index}"]
+        return arrays[obj.index]
     if isinstance(obj, _TableRef):
         return Table({name: _decode(ref, arrays) for name, ref in obj.columns})
     if isinstance(obj, _ObjRef):
@@ -264,46 +271,20 @@ class CacheStats:
     quarantined: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "errors": self.errors,
-            "quarantined": self.quarantined,
-        }
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(**self.as_dict())
-
-    def delta(self, since: "CacheStats") -> dict[str, int]:
-        """Counter increments since an earlier snapshot."""
-        now = self.as_dict()
-        then = since.as_dict()
-        return {k: now[k] - then[k] for k in now}
+        return dataclasses.asdict(self)
 
 
 _SKELETON = "skeleton.pkl"
-_PAYLOAD = "data.npz"
 _PAYLOAD_DIR = "payload"
 _META = "meta.json"
 _QUARANTINE = ".quarantine"
 
 
-@dataclass(frozen=True)
-class _DirEntry:
-    """Skeleton marker for entries whose payload is a directory tree."""
-
-
 def _dir_bytes(path: Path) -> int:
     """Total size of every regular file under ``path``, recursively.
 
-    Entries are no longer flat: a directory payload (``payload/`` from
-    :meth:`DiskCache.put_path`, e.g. a spilled sharded table) nests
-    files arbitrarily deep, and ``iterdir``-level ``st_size`` of a
-    subdirectory reports the directory inode, not its contents — which
-    would let multi-file entries blow straight through the LRU byte
-    budget.
+    A ``payload/`` tree nests files arbitrarily deep; a subdirectory's
+    own ``st_size`` would count its inode, not its contents.
     """
     return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
 
@@ -335,29 +316,37 @@ class DiskCache:
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self.stats = CacheStats()
+        # (entries, bytes) at the last scan plus this instance's puts
+        # since; None until the first put scans the root.
+        self._tally: tuple[int, int] | None = None
 
     # -- public API -----------------------------------------------------------
 
     def get(self, key: str) -> object:
         """Return the cached object, or :data:`MISS`.
 
-        Unreadable entries (truncated payload, bad pickle) are moved to
-        the quarantine directory and reported as a miss so callers
-        rebuild them. An entry evicted by a concurrent process between
-        the existence check and the read is a plain miss.
+        Each array file is checked against its sha256 in ``meta.json``
+        before it is decoded. Unreadable entries (truncated or altered
+        array, bad pickle) are moved to the quarantine directory and
+        reported as a miss so callers rebuild them. An entry evicted by
+        a concurrent process between the existence check and the read
+        is a plain miss.
         """
         entry = self._entry_dir(key)
-        if not (entry / _SKELETON).exists():
+        meta = entry / _META
+        if not meta.exists():
             self.stats.misses += 1
             return MISS
         try:
+            digests = json.loads(meta.read_text())["digests"]
             with open(entry / _SKELETON, "rb") as fh:
                 skeleton = pickle.load(fh)
-            arrays: dict[str, np.ndarray] = {}
-            payload = entry / _PAYLOAD
-            if payload.exists():
-                with np.load(payload, allow_pickle=False) as npz:
-                    arrays = {name: npz[name] for name in npz.files}
+            arrays: list[np.ndarray] = []
+            for index, digest in enumerate(digests):
+                path = entry / f"a{index}.npy"
+                if file_sha256(path) != digest:
+                    raise CacheCorruptionError(f"digest mismatch at {path}")
+                arrays.append(np.load(path, allow_pickle=False))
             obj = _decode(skeleton, arrays)
         except FileNotFoundError:
             # Concurrent eviction won the race; nothing is wrong with
@@ -379,79 +368,41 @@ class DiskCache:
 
     def put(self, key: str, obj: object) -> None:
         """Store an object under ``key`` (atomic; last writer wins)."""
-        self.root.mkdir(parents=True, exist_ok=True)
         arrays: list[np.ndarray] = []
         skeleton = _encode(obj, arrays)
-        tmp = Path(tempfile.mkdtemp(dir=self.root, prefix=".write-"))
-        try:
+
+        def write(tmp: Path) -> list[str]:
             with open(tmp / _SKELETON, "wb") as fh:
                 pickle.dump(skeleton, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            if arrays:
-                np.savez_compressed(
-                    tmp / _PAYLOAD,
-                    **{f"a{i}": arr for i, arr in enumerate(arrays)},
-                )
-            nbytes = _dir_bytes(tmp)
-            (tmp / _META).write_text(
-                json.dumps({"key": key, "nbytes": nbytes}) + "\n"
-            )
-            entry = self._entry_dir(key)
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            if entry.exists():
-                # If the publish below fails, a crash may resurrect the
-                # removed entry — a complete, equivalent cache value, so
-                # the un-fsync'd removal is an accepted risk here.
-                shutil.rmtree(entry, ignore_errors=True)  # reprolint: disable=REP802
-            publish_atomically(tmp, entry)
-        except OSError:
-            # A concurrent writer renamed first; its entry is equivalent.
-            shutil.rmtree(tmp, ignore_errors=True)
-        else:
-            self.stats.puts += 1
-        self._evict(keep=self._entry_dir(key))
+            return [
+                write_npy(tmp / f"a{index}.npy", arr)
+                for index, arr in enumerate(arrays)
+            ]
+
+        self._publish(key, write)
 
     def put_path(self, key: str, src: str | Path, *, move: bool = False) -> None:
         """Store a directory tree under ``key`` (atomic; last writer wins).
 
-        The tree lands as the entry's ``payload/`` directory and the
-        skeleton holds a marker, so the entry scans, touches and evicts
-        exactly like an object entry — including byte accounting of
-        every file in the tree. With ``move=True`` the source directory
-        is renamed into the entry (same filesystem, no copy); the
-        caller's ``src`` path is gone afterwards. Retrieve with
-        :meth:`get_path`, not :meth:`get`.
+        The tree lands as the entry's ``payload/`` directory, so the
+        entry scans, touches and evicts exactly like an object entry —
+        including byte accounting of every file in the tree. With
+        ``move=True`` the source directory is renamed into the entry
+        (same filesystem, no copy); the caller's ``src`` path is gone
+        afterwards. Retrieve with :meth:`get_path`, not :meth:`get`.
         """
         src = Path(src)
         if not src.is_dir():
             raise ValueError(f"source is not a directory: {src}")
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = Path(tempfile.mkdtemp(dir=self.root, prefix=".write-"))
-        try:
-            with open(tmp / _SKELETON, "wb") as fh:
-                pickle.dump(_DirEntry(), fh, protocol=pickle.HIGHEST_PROTOCOL)
-            dest = tmp / _PAYLOAD_DIR
+
+        def write(tmp: Path) -> list[str]:
             if move:
-                os.rename(src, dest)
+                os.rename(src, tmp / _PAYLOAD_DIR)
             else:
-                shutil.copytree(src, dest)
-            nbytes = _dir_bytes(tmp)
-            (tmp / _META).write_text(
-                json.dumps({"key": key, "nbytes": nbytes}) + "\n"
-            )
-            entry = self._entry_dir(key)
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            if entry.exists():
-                # If the publish below fails, a crash may resurrect the
-                # removed entry — a complete, equivalent cache value, so
-                # the un-fsync'd removal is an accepted risk here.
-                shutil.rmtree(entry, ignore_errors=True)  # reprolint: disable=REP802
-            publish_atomically(tmp, entry)
-        except OSError:
-            # A concurrent writer renamed first; its entry is equivalent.
-            shutil.rmtree(tmp, ignore_errors=True)
-        else:
-            self.stats.puts += 1
-        self._evict(keep=self._entry_dir(key))
+                shutil.copytree(src, tmp / _PAYLOAD_DIR)
+            return []
+
+        self._publish(key, write)
 
     def get_path(self, key: str) -> Path | _Miss:
         """Path of a directory entry's payload, or :data:`MISS`.
@@ -462,7 +413,7 @@ class DiskCache:
         """
         entry = self._entry_dir(key)
         payload = entry / _PAYLOAD_DIR
-        if not (entry / _SKELETON).exists():
+        if not (entry / _META).exists():
             self.stats.misses += 1
             return MISS
         if not payload.is_dir():
@@ -478,7 +429,7 @@ class DiskCache:
         return payload
 
     def __contains__(self, key: str) -> bool:
-        return (self._entry_dir(key) / _SKELETON).exists()
+        return (self._entry_dir(key) / _META).exists()
 
     def entries(self) -> list[str]:
         """Keys currently stored (unordered)."""
@@ -502,6 +453,45 @@ class DiskCache:
 
     def _entry_dir(self, key: str) -> Path:
         return self.root / key[:2] / key
+
+    def _publish(self, key: str, write: Callable[[Path], list[str]]) -> None:
+        """The publish path both puts share.
+
+        ``write(tmp)`` fills a fresh temp directory and returns the
+        digests of the array files it wrote. An ``OSError`` discards the
+        temp directory and makes the put a no-op.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(dir=self.root, prefix=".write-"))
+        entry = self._entry_dir(key)
+        try:
+            digests = write(tmp)
+            nbytes = _dir_bytes(tmp)
+            (tmp / _META).write_text(
+                json.dumps({"key": key, "nbytes": nbytes, "digests": digests})
+                + "\n"
+            )
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            if entry.exists():
+                # If the publish below fails, a crash may resurrect the
+                # removed entry — a complete, equivalent cache value, so
+                # the un-fsync'd removal is an accepted risk here.
+                shutil.rmtree(entry, ignore_errors=True)  # reprolint: disable=REP802
+            publish_atomically(tmp, entry)
+        except OSError:
+            # A concurrent writer renamed first; its entry is equivalent.
+            shutil.rmtree(tmp, ignore_errors=True)
+            return
+        self.stats.puts += 1
+        if self._tally is not None:
+            self._tally = (self._tally[0] + 1, self._tally[1] + nbytes)
+        if self._tally is None or self._over_budget(*self._tally):
+            self._evict(keep=entry)
+
+    def _over_budget(self, count: int, total: int) -> bool:
+        return (self.max_entries is not None and count > self.max_entries) or (
+            self.max_bytes is not None and total > self.max_bytes
+        )
 
     def quarantine_dir(self) -> Path:
         """Where corrupted entries are parked for inspection."""
@@ -580,7 +570,7 @@ class DiskCache:
             if not shard.is_dir() or shard.name.startswith("."):
                 continue
             for entry in shard.iterdir():
-                if not (entry / _SKELETON).exists():
+                if not (entry / _META).exists():
                     continue
                 try:
                     mtime = entry.stat().st_mtime
@@ -591,16 +581,12 @@ class DiskCache:
         return found
 
     def _evict(self, keep: Path | None = None) -> None:
-        """Drop least-recently-used entries beyond the size budgets."""
-        if self.max_bytes is None and self.max_entries is None:
-            return
+        """Scan the root, drop LRU entries beyond the budgets, reset the tally."""
         entries = sorted(self._scan(), key=lambda e: (e[1], e[0].name))
         total = sum(size for _, _, size in entries)
         count = len(entries)
         for entry, _, size in entries:
-            over_entries = self.max_entries is not None and count > self.max_entries
-            over_bytes = self.max_bytes is not None and total > self.max_bytes
-            if not (over_entries or over_bytes):
+            if not self._over_budget(count, total):
                 break
             if keep is not None and entry == keep:
                 continue
@@ -611,3 +597,4 @@ class DiskCache:
             self.stats.evictions += 1
             total -= size
             count -= 1
+        self._tally = (count, total)

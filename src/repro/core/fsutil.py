@@ -17,20 +17,32 @@ from the ALICE crash-consistency literature:
 temp payload.  The repro-lint flow rules REP801/REP802 statically
 enforce that durable modules either follow the protocol inline or call
 these helpers.
+
+Arrays reach disk in one format: :func:`write_npy` writes a bare
+``.npy`` file and returns the sha256 of exactly the bytes it wrote, and
+:func:`file_sha256` recomputes that digest on read. Shard columns
+(``core.shard``) and disk-cache arrays (``core.diskcache``) both go
+through this pair, so one function decides how an array lives on disk.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 import shutil
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
+    "file_sha256",
     "fsync_file",
     "fsync_dir",
     "fsync_tree",
     "publish_atomically",
     "remove_durable",
+    "write_npy",
 ]
 
 
@@ -41,6 +53,31 @@ def fsync_file(path: str | os.PathLike) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def write_npy(path: str | os.PathLike, array: np.ndarray) -> str:
+    """Write ``array`` as a bare, fsynced ``.npy`` file; return its sha256.
+
+    Serialized once in memory, so the digest covers exactly the bytes
+    that reach disk.
+    """
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(array))
+    payload = buf.getbuffer()
+    with open(path, "wb") as fh:
+        fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return hashlib.sha256(payload).hexdigest()
+
+
+def file_sha256(path: str | os.PathLike) -> str:
+    """sha256 of a file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def fsync_dir(path: str | os.PathLike) -> None:

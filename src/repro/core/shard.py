@@ -11,7 +11,9 @@ reader touches only the pages of the one shard it is scanning.
 Construction goes through :class:`ShardWriter`, which follows the disk
 cache's atomicity discipline (build under a temp sibling, publish with
 one ``os.rename``) so a crashed spill never leaves a half-written table
-where a reader could find it. Shard boundaries are a pure function of
+where a reader could find it. Each column file is written by
+:func:`repro.core.fsutil.write_npy`, the same writer the disk cache
+uses for its arrays. Shard boundaries are a pure function of
 the row stream and ``shard_rows`` — feeding the writer 1-row appends or
 million-row appends produces byte-identical shards — so cache keys may
 fingerprint ``shard_rows`` alone, not the producer's chunking.
@@ -37,8 +39,6 @@ Integrity and crash safety (format version 2):
   raises :class:`ShardIntegrityError` — a
   :class:`~repro.core.diskcache.CacheCorruptionError` subtype, so cache
   consumers classify it as transient corruption and quarantine/rebuild.
-  Version-1 manifests (no digests) still open; digest checks are
-  skipped for them.
 * A **resumable** writer (``resume=True``) builds under a deterministic
   ``.{name}.partial`` sibling and journals every completed shard
   (rows + digests, fsync'd) to ``journal.jsonl`` before moving on. A
@@ -54,8 +54,6 @@ mmap-backed columns at a time.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 import os
 import shutil
@@ -65,7 +63,14 @@ from pathlib import Path
 import numpy as np
 
 from .diskcache import CacheCorruptionError
-from .fsutil import fsync_dir, publish_atomically, remove_durable
+from .fsutil import (
+    file_sha256,
+    fsync_dir,
+    fsync_file,
+    publish_atomically,
+    remove_durable,
+    write_npy,
+)
 from .table import Table
 
 __all__ = [
@@ -80,9 +85,6 @@ _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _LOCK = ".lock"
 _FORMAT_VERSION = 2
-#: Manifest versions this reader understands. Version 1 predates
-#: integrity digests; its tables open with digest checks disabled.
-_READABLE_VERSIONS = (1, 2)
 
 #: Digest-verification policies for :meth:`ShardedTable.open`.
 VERIFY_MODES = ("none", "lazy", "full")
@@ -126,14 +128,6 @@ def _check_schema(schema: Mapping[str, np.dtype]) -> dict[str, np.dtype]:
     return checked
 
 
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _npy_rows(path: Path) -> int:
     """Row count from a bare ``.npy`` header without loading the data."""
     with open(path, "rb") as fh:
@@ -147,14 +141,6 @@ def _npy_rows(path: Path) -> int:
     if len(shape) != 1:
         raise ValueError(f"column array must be 1-D, got shape {shape}")
     return int(shape[0])
-
-
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class ShardWriter:
@@ -337,13 +323,7 @@ class ShardWriter:
             header = json.loads(lines[0])
         except json.JSONDecodeError:
             return []
-        expected = {
-            "format": _FORMAT_VERSION,
-            "schema": {n: d.str for n, d in self._schema.items()},
-            "shard_rows": self._shard_rows,
-            "group_by": self._group_by,
-        }
-        if header != expected:
+        if header != self._header():
             return []
         entries: list[tuple[int, dict[str, str]]] = []
         for index, line in enumerate(lines[1:]):
@@ -372,24 +352,27 @@ class ShardWriter:
             try:
                 if _npy_rows(path) != rows:
                     return False
-                if _file_sha256(path) != digests[name]:
+                if file_sha256(path) != digests[name]:
                     return False
             except (OSError, ValueError, KeyError):
                 return False
         return True
+
+    def _header(self) -> dict[str, object]:
+        """The journal's first line: what a resumed spill must match."""
+        return {
+            "format": _FORMAT_VERSION,
+            "schema": {n: d.str for n, d in self._schema.items()},
+            "shard_rows": self._shard_rows,
+            "group_by": self._group_by,
+        }
 
     def _write_journal_header(
         self, truncate_to: list[tuple[int, dict[str, str]]] | None = None
     ) -> None:
         """(Re)write the journal: header line plus the kept entries."""
         journal = self._tmp / _JOURNAL
-        header = {
-            "format": _FORMAT_VERSION,
-            "schema": {n: d.str for n, d in self._schema.items()},
-            "shard_rows": self._shard_rows,
-            "group_by": self._group_by,
-        }
-        lines = [json.dumps(header, sort_keys=True)]
+        lines = [json.dumps(self._header(), sort_keys=True)]
         for index, (rows, digests) in enumerate(truncate_to or []):
             lines.append(
                 json.dumps(
@@ -493,7 +476,7 @@ class ShardWriter:
         }
         manifest_path = self._tmp / _MANIFEST
         manifest_path.write_text(json.dumps(manifest, indent=1))
-        _fsync_file(manifest_path)
+        fsync_file(manifest_path)
         # The journal and lock are build-time state; the published tree
         # holds only the manifest and shards, identical whether or not
         # the spill was ever interrupted.
@@ -612,18 +595,9 @@ class ShardWriter:
             column = (
                 parts[0] if len(parts) == 1 else np.concatenate(parts)
             )
-            # Serialize once in memory so the digest covers exactly the
-            # bytes that reach disk; fsync before journaling makes a
-            # journaled shard durable by construction.
-            buf = io.BytesIO()
-            np.save(buf, np.ascontiguousarray(column))
-            payload = buf.getbuffer()
-            digests[name] = hashlib.sha256(payload).hexdigest()
-            path = shard_dir / f"{name}.npy"
-            with open(path, "wb") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
+            # Fsynced before journaling, so a journaled shard is durable
+            # by construction.
+            digests[name] = write_npy(shard_dir / f"{name}.npy", column)
             if first and self._on_event is not None:
                 self._on_event("column-written", index, self._resumed_shards)
             first = False
@@ -671,7 +645,7 @@ class ShardedTable:
         counts: list[int],
         shard_rows: int,
         group_by: str | None,
-        digests: list[dict[str, str]] | None = None,
+        digests: list[dict[str, str]],
         verify: str = "lazy",
     ) -> None:
         self._root = root
@@ -706,7 +680,7 @@ class ShardedTable:
                 root=root,
             ) from exc
         version = manifest.get("version")
-        if version not in _READABLE_VERSIONS:
+        if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported shard format version {version!r} at {root}"
             )
@@ -715,16 +689,14 @@ class ShardedTable:
         }
         # Manifest JSON, not a table column (one entry per shard).
         counts = [int(n) for n in manifest["shards"]]  # reprolint: disable=REP502
-        raw_digests = manifest.get("digests")
-        digests: list[dict[str, str]] | None = None
-        if raw_digests is not None:
-            if len(raw_digests) != len(counts):
-                raise ShardIntegrityError(
-                    f"manifest at {root} lists {len(counts)} shards but "
-                    f"{len(raw_digests)} digest entries",
-                    root=root,
-                )
-            digests = [dict(entry) for entry in raw_digests]
+        raw_digests = manifest["digests"]
+        if len(raw_digests) != len(counts):
+            raise ShardIntegrityError(
+                f"manifest at {root} lists {len(counts)} shards but "
+                f"{len(raw_digests)} digest entries",
+                root=root,
+            )
+        digests = [dict(entry) for entry in raw_digests]
         table = cls(
             root=root,
             schema=schema,
@@ -786,13 +758,11 @@ class ShardedTable:
     def verify_shard(
         self, index: int, columns: Sequence[str] | None = None
     ) -> None:
-        """Digest-check one shard's column files (no-op for v1 tables).
+        """Digest-check one shard's column files.
 
         Each (shard, column) pair is checked at most once per instance;
         repeated reads of a verified shard pay nothing.
         """
-        if self._digests is None:
-            return
         expected = self._digests[index]
         shard_dir = self._root / _shard_name(index)
         for name in self._select(columns):
@@ -800,7 +770,7 @@ class ShardedTable:
                 continue
             path = shard_dir / f"{name}.npy"
             try:
-                actual = _file_sha256(path)
+                actual = file_sha256(path)
             except OSError as exc:
                 raise ShardIntegrityError(
                     f"unreadable column file at {path}: {exc}",

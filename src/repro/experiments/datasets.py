@@ -89,9 +89,9 @@ __all__ = [
     "sim_google_config",
 ]
 
-#: Bump when a builder, model default, or cached container changes in a
-#: way that alters dataset contents; old disk-cache entries then miss.
-DATASET_CACHE_VERSION = 2
+#: Bump when a builder, model default, cached container or the cache's
+#: entry format changes; old disk-cache entries then miss.
+DATASET_CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,10 @@ Fault kinds
     Sleep ``seconds`` (default one hour) before doing any work, so the
     per-experiment timeout fires; classified ``timeout`` and retried.
 ``corrupt-cache``
-    Truncate the payload of one on-disk dataset cache entry and drop
-    the in-process memo, forcing the experiment through the cache's
-    quarantine-and-rebuild path. The experiment still succeeds; the
-    ``cache_quarantined`` counter records the recovery.
+    Truncate the first array file of every on-disk dataset cache
+    entry and drop the in-process memo, forcing the experiment through
+    the cache's quarantine-and-rebuild path. The experiment still
+    succeeds; the ``cache_quarantined`` counter records the recovery.
 
 Out-of-core fault kinds
 -----------------------
@@ -272,7 +272,7 @@ class FaultPlan:
             time.sleep(spec.seconds)
             return
         if spec.kind == "corrupt-cache":
-            corrupt_one_cache_entry()
+            corrupt_cache_entries()
 
 
 @dataclass(frozen=True)
@@ -355,31 +355,31 @@ def spill_fault_hook(plan: FaultPlan, table: str):
     return hook
 
 
-def corrupt_one_cache_entry() -> str | None:
-    """Truncate one dataset cache entry and drop the in-process memo.
+def corrupt_cache_entries() -> list[str]:
+    """Truncate every dataset cache entry's ``a0.npy``; drop the memo.
 
-    Picks the lexicographically first key so repeated runs corrupt the
-    same entry. Returns the corrupted key, or ``None`` when no cache is
-    configured or populated. Clearing the memo forces the next dataset
-    access back through the disk cache, where the truncated entry is
-    quarantined and rebuilt.
+    Every dataset entry holds arrays, so whichever entry the experiment
+    reads next fails its digest check and is quarantined and rebuilt.
+    Damaging one entry would test recovery only when the experiment
+    happens to read that one. Clearing the memo forces the next dataset
+    access back through the disk cache. Returns the damaged keys in
+    sorted order (empty when no cache is configured or populated).
     """
     cache = datasets.dataset_cache()
-    if cache is None:
-        return None
-    keys = sorted(cache.entries())
-    if not keys:
-        return None
-    skeleton = cache._entry_dir(keys[0]) / "skeleton.pkl"
-    try:
-        payload = skeleton.read_bytes()
-        skeleton.write_bytes(payload[: len(payload) // 2])
-    except OSError:
-        return None
+    keys = sorted(cache.entries()) if cache is not None else []
+    damaged: list[str] = []
+    for key in keys:
+        array = cache._entry_dir(key) / "a0.npy"
+        try:
+            payload = array.read_bytes()
+            array.write_bytes(payload[: len(payload) // 2])
+        except OSError:
+            continue
+        damaged.append(key)
     datasets.workload_dataset.cache_clear()
     datasets.simulation_dataset.cache_clear()
     datasets.fleet_series.cache_clear()
-    return keys[0]
+    return damaged
 
 
 def plan_from_env(environ: dict[str, str] | None = None) -> FaultPlan | None:

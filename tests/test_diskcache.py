@@ -129,19 +129,30 @@ class TestRoundTrip:
         assert cache.stats.hits == 1
 
 
+def _truncate(data: bytes) -> bytes:
+    return data[:20]
+
+
+def _flip_last_byte(data: bytes) -> bytes:
+    # Same length, intact .npy header: only the digest can tell.
+    return data[:-1] + bytes([data[-1] ^ 0xFF])
+
+
 class TestCorruption:
     def test_truncated_payload_recovers_as_miss(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        key = "e" * 64
-        cache.put(key, _payload(1))
-        payload = tmp_path / key[:2] / key / "data.npz"
-        payload.write_bytes(payload.read_bytes()[:20])
-        assert cache.get(key) is MISS
-        assert cache.stats.errors == 1
-        # The broken entry is gone; a re-put works again.
-        assert key not in cache
-        cache.put(key, _payload(1))
-        assert cache.get(key) is not MISS
+        for damage in (_truncate, _flip_last_byte):
+            cache = DiskCache(tmp_path / damage.__name__)
+            key = "e" * 64
+            cache.put(key, _payload(1))
+            array = cache._entry_dir(key) / "a0.npy"
+            array.write_bytes(damage(array.read_bytes()))
+            assert cache.get(key) is MISS, damage.__name__
+            assert cache.stats.errors == 1
+            assert cache.stats.quarantined == 1
+            # The broken entry is gone; a re-put works again.
+            assert key not in cache
+            cache.put(key, _payload(1))
+            assert cache.get(key) is not MISS
 
     def test_garbage_skeleton_recovers_as_miss(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -235,6 +246,32 @@ class TestEvictionRace:
 
 
 class TestEviction:
+    def test_puts_within_budget_scan_once(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path, max_entries=100, max_bytes=None)
+        scans = []
+
+        def scan():
+            scans.append(None)
+            return DiskCache._scan(cache)
+
+        monkeypatch.setattr(cache, "_scan", scan)
+        for i in range(50):
+            cache.put(format(i, "x").rjust(64, "0"), {"i": np.arange(10)})
+        assert len(scans) == 1
+        assert len(cache.entries()) == 50
+
+    def test_budget_holds_across_instances(self, tmp_path):
+        # Each instance tallies only its own puts; the other's entries
+        # are counted at its next scan, so the shared root still holds
+        # no more than the budget.
+        first = DiskCache(tmp_path, max_entries=3, max_bytes=None)
+        second = DiskCache(tmp_path, max_entries=3, max_bytes=None)
+        for c in "abc":
+            first.put(c * 64, {"x": np.arange(10)})
+        for c in "de":
+            second.put(c * 64, {"x": np.arange(10)})
+        assert len(first.entries()) == 3
+
     def test_entry_count_budget(self, tmp_path):
         import os
 

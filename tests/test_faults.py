@@ -18,7 +18,7 @@ from repro.experiments.faults import (
     FaultPlan,
     FaultSpec,
     ShardFaultInjector,
-    corrupt_one_cache_entry,
+    corrupt_cache_entries,
     corrupt_shard_column,
     plan_from_env,
     spill_fault_hook,
@@ -102,7 +102,7 @@ class TestCorruptOneCacheEntry:
     def test_truncates_first_entry_and_cache_self_heals(self, plain_cache):
         key = "a" * 64
         plain_cache.put(key, {"x": np.arange(50)})
-        assert corrupt_one_cache_entry() == key
+        assert corrupt_cache_entries() == [key]
         # The damaged entry is quarantined on the next read, not served.
         assert plain_cache.get(key) is MISS
         assert plain_cache.stats.quarantined == 1
@@ -110,10 +110,10 @@ class TestCorruptOneCacheEntry:
 
     def test_none_without_cache(self):
         datasets.configure_cache(None)
-        assert corrupt_one_cache_entry() is None
+        assert corrupt_cache_entries() == []
 
     def test_none_with_empty_cache(self, plain_cache):
-        assert corrupt_one_cache_entry() is None
+        assert corrupt_cache_entries() == []
 
 
 class TestPlanFromEnv:

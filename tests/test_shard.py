@@ -150,11 +150,19 @@ class TestValidation:
         assert not (tmp_path / "t").exists()
 
     def test_open_rejects_bad_version(self, tmp_path):
-        sharded = write_table(_table(4), tmp_path / "t", shard_rows=2)
-        manifest = sharded.root / "manifest.json"
-        manifest.write_text(manifest.read_text().replace('"version": 2', '"version": 99'))
-        with pytest.raises(ValueError, match="version"):
-            ShardedTable.open(sharded.root)
+        # Version 1 predates the per-column digests and is refused too.
+        for version in (1, 99):
+            sharded = write_table(
+                _table(4), tmp_path / f"t{version}", shard_rows=2
+            )
+            manifest = sharded.root / "manifest.json"
+            manifest.write_text(
+                manifest.read_text().replace(
+                    '"version": 2', f'"version": {version}'
+                )
+            )
+            with pytest.raises(ValueError, match="version"):
+                ShardedTable.open(sharded.root)
 
     def test_map_columns_streams_lazily(self, tmp_path):
         table = _table(30)
@@ -224,20 +232,6 @@ class TestIntegrity:
         reopened.shard(0)
         with pytest.raises(ShardIntegrityError):
             ShardedTable.open(sharded.root, verify="full")
-
-    def test_v1_manifest_still_opens(self, tmp_path):
-        # Old tables (no digests) keep working; digest checks degrade to
-        # no-ops while structural validation still applies.
-        sharded = write_table(_table(10), tmp_path / "t", shard_rows=3)
-        manifest_path = sharded.root / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 1
-        del manifest["digests"]
-        manifest_path.write_text(json.dumps(manifest))
-        reopened = ShardedTable.open(sharded.root, verify="full")
-        np.testing.assert_array_equal(
-            reopened.to_table()["x"], sharded.to_table()["x"]
-        )
 
     def test_digest_shard_count_mismatch_rejected(self, tmp_path):
         sharded = write_table(_table(10), tmp_path / "t", shard_rows=3)
