@@ -1,7 +1,7 @@
 """REP401 — experiment registry completeness.
 
 Every ``repro/experiments/*.py`` experiment module must be registered in
-``registry.py`` (otherwise ``run_all``/the scorecard silently skip it),
+``registry.py`` (otherwise ``run_all`` silently skips it),
 and every registered experiment id must have a reference output under
 ``benchmarks/results/<id>.txt`` (otherwise there is nothing to compare
 a rerun against). The rule fires while linting ``registry.py`` itself,

@@ -8,14 +8,11 @@ AIC-based model selection. The fitted shapes can be fed straight back
 into :mod:`repro.core.distributions` (the sampling toolkit used by
 :mod:`repro.synth`) to close the loop between characterization and
 synthesis.
-
-SciPy is imported inside the three fitters that call it, so processes
-that import :mod:`repro.core` but never fit (entry processes, block
-workers, ``repro-lint``) do not pay for importing it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +101,16 @@ def fit_exponential(sample: np.ndarray) -> FittedModel:
     )
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF over an array; NumPy has no ``erf``."""
+    return 0.5 * _erfc(-z / math.sqrt(2.0)).astype(np.float64)
+
+
 def fit_lognormal(sample: np.ndarray) -> FittedModel:
     """MLE lognormal fit in log space."""
-    from scipy import stats
-
     sample = _check_sample(sample)
     logs = np.log(sample)
     mu = float(logs.mean())
@@ -119,30 +122,81 @@ def fit_lognormal(sample: np.ndarray) -> FittedModel:
         - sample.size * np.log(sigma * np.sqrt(2 * np.pi))
         - ((logs - mu) ** 2).sum() / (2 * sigma**2)
     )
-    dist = stats.lognorm(s=sigma, scale=np.exp(mu))
-    ks = ks_statistic(sample, dist.cdf)
+    median = float(np.exp(mu))
+    ks = ks_statistic(sample, lambda x: _normal_cdf(np.log(x / median) / sigma))
     return FittedModel(
         family="lognormal",
-        params={"median": float(np.exp(mu)), "sigma": sigma},
+        params={"median": median, "sigma": sigma},
         log_likelihood=loglik,
         aic=2 * 2 - 2 * loglik,
         ks=ks,
-        distribution=LogNormal(median=float(np.exp(mu)), sigma=sigma),
+        distribution=LogNormal(median=median, sigma=sigma),
     )
 
 
-def fit_weibull(sample: np.ndarray) -> FittedModel:
-    """MLE Weibull fit via scipy (location fixed at 0)."""
-    from scipy import stats
+def _weibull_shape(logs: np.ndarray) -> float:
+    """Root of the Weibull profile score in the shape ``k``.
 
+    ``g(k) = 1/k + mean(log x) - sum(x^k log x) / sum(x^k)`` falls
+    strictly from +inf to ``mean(log x) - max(log x) < 0``, so its root
+    is the unique MLE. Newton steps start from the moment estimate and
+    stay inside a bracket that every evaluation shrinks; a step that
+    leaves it is replaced by bisection, so the loop ends at the latest
+    when the bracket holds no float between its ends. The weights
+    ``x^k`` are taken relative to the largest sample, so they never
+    overflow.
+    """
+    d = logs - logs.max()
+    if not d.any():
+        raise ValueError("Weibull MLE needs samples that differ")
+    mean_d = float(d.mean())
+    lo, hi = 0.0, math.inf
+    k = math.pi / (math.sqrt(6.0) * float(d.std()))
+    while True:
+        w = np.exp(k * d)
+        total = float(w.sum())
+        m1 = float(w @ d) / total
+        var = max(float(w @ (d * d)) / total - m1 * m1, 0.0)
+        g = 1.0 / k + mean_d - m1
+        if g > 0:
+            lo = k
+        elif g < 0:
+            hi = k
+        else:
+            return k
+        nxt = k + g / (1.0 / (k * k) + var)
+        if not lo < nxt < hi:
+            # A step up from ``lo`` can only pass a finite ``hi``.
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return k
+        if abs(nxt - k) <= 4 * np.finfo(float).eps * k:
+            return nxt
+        k = nxt
+
+
+def fit_weibull(sample: np.ndarray) -> FittedModel:
+    """MLE Weibull fit with location fixed at 0.
+
+    Raises :class:`ValueError` on a sample of one repeated value, which
+    has no MLE (the likelihood grows without bound in the shape).
+    """
     sample = _check_sample(sample)
-    shape, _loc, scale = stats.weibull_min.fit(sample, floc=0.0)
-    dist = stats.weibull_min(c=shape, scale=scale)
-    loglik = float(dist.logpdf(sample).sum())
-    ks = ks_statistic(sample, dist.cdf)
+    logs = np.log(sample)
+    shape = _weibull_shape(logs)
+    # scale = mean(x^k)^(1/k), with x^k taken relative to the largest x.
+    top = float(logs.max())
+    mean_pow = float(np.exp(shape * (logs - top)).mean())
+    scale = math.exp(top + math.log(mean_pow) / shape)
+    loglik = float(
+        sample.size * (math.log(shape) - shape * math.log(scale))
+        + (shape - 1.0) * logs.sum()
+        - ((sample / scale) ** shape).sum()
+    )
+    ks = ks_statistic(sample, lambda x: -np.expm1(-((x / scale) ** shape)))
     return FittedModel(
         family="weibull",
-        params={"shape": float(shape), "scale": float(scale)},
+        params={"shape": shape, "scale": scale},
         log_likelihood=loglik,
         aic=2 * 2 - 2 * loglik,
         ks=ks,
@@ -154,11 +208,13 @@ def fit_bounded_pareto(sample: np.ndarray) -> FittedModel:
     """MLE bounded-Pareto fit with bounds at the sample extremes.
 
     The bounds are pinned to ``[min(sample), max(sample)]`` (their MLE)
-    and alpha maximized numerically — the textbook estimator for
-    truncated power laws.
+    and alpha maximized over ``[1e-6, 20]`` — the textbook estimator
+    for truncated power laws. With ``c = log(high/low)``, the
+    log-likelihood is concave in alpha and its derivative per sample,
+    ``1/alpha - mean(log(x/low)) - c/expm1(c*alpha)``, falls, so
+    bisecting it to adjacent floats finds the maximum; when it keeps
+    one sign over the interval, the maximum is that end.
     """
-    from scipy import optimize
-
     sample = _check_sample(sample)
     low = float(sample.min())
     high = float(sample.max())
@@ -166,29 +222,36 @@ def fit_bounded_pareto(sample: np.ndarray) -> FittedModel:
         raise ValueError("sample must span a positive range")
     logs = np.log(sample)
     n = sample.size
-    log_l, log_h = np.log(low), np.log(high)
+    c = math.log(high / low)
+    spread = float(logs.mean()) - math.log(low)
 
-    def neg_loglik(alpha: float) -> float:
-        if alpha <= 1e-9:
-            return np.inf
-        norm = 1.0 - (low / high) ** alpha
-        return -(
-            n * np.log(alpha)
-            + n * alpha * log_l
-            - (alpha + 1.0) * logs.sum()
-            - n * np.log(norm)
-        )
+    def slope(alpha: float) -> float:
+        # c/expm1(c*alpha), written so that a wide range cannot overflow.
+        return 1.0 / alpha - spread + c * math.exp(-c * alpha) / math.expm1(-c * alpha)
 
-    result = optimize.minimize_scalar(
-        neg_loglik, bounds=(1e-6, 20.0), method="bounded"
+    lo, hi = 1e-6, 20.0
+    if slope(lo) <= 0:
+        alpha = lo
+    elif slope(hi) >= 0:
+        alpha = hi
+    else:
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if slope(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        alpha = lo
+    loglik = float(
+        n * (math.log(alpha) - alpha * spread - math.log(-math.expm1(-c * alpha)))
+        - logs.sum()
     )
-    alpha = float(result.x)
-    loglik = -float(result.fun)
 
     def cdf(x: np.ndarray) -> np.ndarray:
         x = np.clip(x, low, high)
-        la, ha = low**alpha, high**alpha
-        return (1.0 - la / x**alpha) / (1.0 - la / ha)
+        return np.expm1(-alpha * np.log(x / low)) / math.expm1(-c * alpha)
 
     ks = ks_statistic(sample, cdf)
     return FittedModel(

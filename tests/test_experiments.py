@@ -171,6 +171,20 @@ class TestScorecard:
         assert result.metrics["all_pass"], f"failing claims: {failing}"
         assert result.metrics["claims_total"] >= 12
 
+    def test_claims_read_exactly_sources(self, results):
+        from repro.experiments import scorecard
+
+        asked = set()
+
+        class Recording(dict):
+            def __getitem__(self, exp_id):
+                asked.add(exp_id)
+                return super().__getitem__(exp_id)
+
+        scorecard._claims(Recording({k: r.metrics for k, r in results.items()}))
+        assert asked == set(scorecard.SOURCES)
+        assert len(scorecard.SOURCES) == len(asked)
+
 
 class TestRunnerCli:
     def test_list(self, capsys):

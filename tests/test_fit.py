@@ -1,8 +1,14 @@
-"""Unit tests for distribution fitting and model selection."""
+"""Unit tests for distribution fitting and model selection.
+
+SciPy is the oracle here: the fitters are NumPy only, and each is
+checked against SciPy's fit or CDF for the same family.
+"""
 
 import numpy as np
 import pytest
+from scipy import optimize, stats
 
+from repro.core.distributions import BoundedPareto
 from repro.core.fit import (
     CANDIDATE_FAMILIES,
     fit_best,
@@ -54,11 +60,21 @@ class TestLognormalFit:
         assert fit.params["sigma"] == pytest.approx(1.2, abs=0.05)
         assert fit.ks < 0.02
 
+    def test_ks_matches_scipy_cdf(self, rng):
+        sample = rng.lognormal(np.log(100.0), 1.2, 20000)
+        fit = fit_lognormal(sample)
+        dist = stats.lognorm(s=fit.params["sigma"], scale=fit.params["median"])
+        assert fit.ks == pytest.approx(ks_statistic(sample, dist.cdf), abs=1e-12)
+
+
+def _tight_fmin(func, x0, args=(), disp=0):
+    # SciPy's default Nelder-Mead tolerances (1e-4) leave its own shape
+    # up to ~1e-5 relative from the MLE, the size of the bound checked.
+    return optimize.fmin(func, x0, args=args, xtol=1e-10, ftol=1e-10, disp=disp)
+
 
 class TestWeibullFit:
     def test_recovers_shape(self, rng):
-        from scipy import stats
-
         sample = stats.weibull_min(c=1.5, scale=10.0).rvs(
             20000, random_state=rng
         )
@@ -66,20 +82,85 @@ class TestWeibullFit:
         assert fit.params["shape"] == pytest.approx(1.5, abs=0.1)
         assert fit.ks < 0.02
 
+    @pytest.mark.parametrize("shape", [0.4, 0.7, 1.5, 3.0, "lognormal"])
+    def test_matches_scipy_mle(self, rng, shape):
+        if shape == "lognormal":
+            sample = rng.lognormal(2.0, 1.5, 20000)
+        else:
+            sample = stats.weibull_min(c=shape, scale=10.0).rvs(
+                20000, random_state=rng
+            )
+        fit = fit_weibull(sample)
+        c, _loc, scale = stats.weibull_min.fit(
+            sample, floc=0, optimizer=_tight_fmin
+        )
+        assert fit.params["shape"] == pytest.approx(c, rel=1e-5)
+        assert fit.params["scale"] == pytest.approx(scale, rel=1e-5)
+        loglik = stats.weibull_min(c=c, scale=scale).logpdf(sample).sum()
+        assert fit.log_likelihood >= loglik - 1e-9 * abs(loglik)
+        dist = stats.weibull_min(c=fit.params["shape"], scale=fit.params["scale"])
+        assert fit.ks == pytest.approx(ks_statistic(sample, dist.cdf), abs=1e-12)
+
+
+def _scipy_bounded_pareto(sample):
+    """SciPy's bounded scalar search over the same likelihood: (alpha, ll)."""
+    low, high = sample.min(), sample.max()
+    logs = np.log(sample)
+    n = sample.size
+
+    def neg_loglik(alpha):
+        return -(
+            n * np.log(alpha)
+            + n * alpha * np.log(low)
+            - (alpha + 1.0) * logs.sum()
+            - n * np.log(1.0 - (low / high) ** alpha)
+        )
+
+    result = optimize.minimize_scalar(
+        neg_loglik, bounds=(1e-6, 20.0), method="bounded"
+    )
+    return float(result.x), -float(result.fun)
+
 
 class TestBoundedParetoFit:
     def test_recovers_alpha(self, rng):
-        from repro.core.distributions import BoundedPareto
-
         true = BoundedPareto(alpha=0.6, low=1.0, high=1e5)
         sample = true.sample(rng, 50000)
         fit = fit_bounded_pareto(sample)
         assert fit.params["alpha"] == pytest.approx(0.6, abs=0.05)
         assert fit.ks < 0.02
+        assert fit.params["alpha"] == pytest.approx(
+            _scipy_bounded_pareto(sample)[0], abs=2e-5
+        )
+
+    def test_wide_range_matches_scipy(self):
+        # The sample spans about 1e19, so expm1(c * alpha) with
+        # c = log(high/low) would overflow at alpha = 20.
+        true = BoundedPareto(alpha=0.1, low=1e-10, high=1e10)
+        sample = true.sample(np.random.default_rng(1), 20000)
+        alpha, loglik = _scipy_bounded_pareto(sample)
+        fit = fit_bounded_pareto(sample)
+        assert fit.params["alpha"] == pytest.approx(alpha, abs=2e-5)
+        assert fit.log_likelihood >= loglik - 1e-9 * abs(loglik)
+
+    def test_optimum_on_lower_bound(self):
+        # Logs leaning to the top of their range make the likelihood
+        # fall over all of [1e-6, 20]: the constrained MLE is the bound.
+        sample = np.exp(np.random.default_rng(0).triangular(3, 14, 14, 5000))
+        fit = fit_bounded_pareto(sample)
+        assert fit.params["alpha"] == 1e-6
+        assert fit.log_likelihood > _scipy_bounded_pareto(sample)[1]
 
     def test_degenerate_rejected(self):
+        constant = np.full(10, 5.0)
         with pytest.raises(ValueError):
-            fit_bounded_pareto(np.full(10, 5.0))
+            fit_bounded_pareto(constant)
+        with pytest.raises(ValueError):
+            fit_weibull(constant)
+        assert {f.family for f in fit_best(constant)} == {
+            "lognormal",
+            "exponential",
+        }
 
 
 class TestModelSelection:
