@@ -114,6 +114,17 @@ _PIPELINES = {
     "paper": (12_500, 30 * DAY, 25_000_000.0 / (30 * DAY / HOUR)),
 }
 
+#: The request columns the streamed host-load pipeline reads.
+_PIPELINE_COLUMNS = (
+    "submit_time",
+    "duration",
+    "cpu_request",
+    "cpu_utilization",
+    "mem_request",
+    "mem_utilization",
+    "priority",
+)
+
 #: ``sim_drain`` sizes: (machines, horizon_s, tasks/hour). Kept
 #: moderate so the scalar golden run stays affordable everywhere.
 _DRAIN_SIMS = {
@@ -437,18 +448,19 @@ def _bench_hostload_pipeline(scale: str, seed: int) -> dict[str, object]:
             seed=seed,
             config=GoogleConfig(busy_window=None),
             tasks_per_hour=tasks_per_hour,
+            columns=_PIPELINE_COLUMNS,
         ):
             n = len(chunk)
             total += n
             slots = rng.integers(0, n_machines, n)
-            start = chunk.submit_time + rng.exponential(10.0, n)
+            start = chunk["submit_time"] + rng.exponential(10.0, n)
             grid.add_tasks(
                 slots,
                 start,
-                start + chunk.duration,
-                cpu=chunk.cpu_request * chunk.cpu_utilization,
-                mem=chunk.mem_request * chunk.mem_utilization,
-                band=priority_band_array(chunk.priority),
+                start + chunk["duration"],
+                cpu=chunk["cpu_request"] * chunk["cpu_utilization"],
+                mem=chunk["mem_request"] * chunk["mem_utilization"],
+                band=priority_band_array(chunk["priority"]),
             )
         times, values, lengths = grid.pool("cpu_usage")
         stats = duration_stats_by_level(

@@ -5,7 +5,8 @@ task object in memory; at the paper's full scale (25M tasks on 12,500
 machines over a month) the host-load characterization only needs the
 per-machine per-tick usage sums. :class:`UsageGridAccumulator` computes
 exactly those with ``np.add.at`` scatter-adds over a machine-major
-``(num_machines, num_ticks)`` grid, consuming task-request chunks from
+``(num_machines, num_ticks)`` grid, consuming the task-request
+:class:`~repro.core.table.Table` chunks of
 :func:`repro.synth.google_model.iter_task_requests` one at a time —
 peak memory is the grid plus one chunk, independent of task count.
 

@@ -21,7 +21,6 @@ from .google_model import (
     FATE_CODES,
     GoogleConfig,
     TaskRequests,
-    concat_task_requests,
     generate_google_jobs,
     generate_google_trace,
     generate_task_requests,
@@ -79,6 +78,5 @@ __all__ = [
     "generate_task_requests",
     "generate_task_requests_chunked",
     "iter_task_requests",
-    "concat_task_requests",
     "grid_preset",
 ]

@@ -163,9 +163,10 @@ class DoublyStochasticArrivals(ArrivalProcess):
         * hour value ranges are disjoint half-open intervals, so sorting
           each consecutive hour block separately equals the global sort.
 
-        Peak memory is one block (roughly ``block_tasks`` arrivals) plus
-        the per-hour rate/count vectors, instead of four full-horizon
-        arrays.
+        Peak memory is a few block-sized temporaries (the offsets, the
+        hour index, the times and their filtered and sorted copies, each
+        roughly ``block_tasks`` float64 values) plus the per-hour
+        rate/count vectors, instead of four full-horizon arrays.
         """
         if horizon <= 0:
             raise ValueError("horizon must be positive")

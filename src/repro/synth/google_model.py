@@ -34,7 +34,7 @@ from ..traces.schema import (
     TaskEvent,
     priority_band_array,
 )
-from ..core.table import Table
+from ..core.table import Table, concat_tables
 from .arrivals import DoublyStochasticArrivals, cv_for_fairness
 from ..core.distributions import BoundedPareto, Distribution, LogNormal, Mixture
 from .machines import FleetConfig, generate_machines
@@ -53,7 +53,7 @@ __all__ = [
     "generate_task_requests",
     "iter_task_requests",
     "generate_task_requests_chunked",
-    "concat_task_requests",
+    "TASK_REQUEST_COLUMNS",
     "generate_google_trace",
     "FATE_CODES",
 ]
@@ -417,29 +417,48 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
 #: stream, and chunk boundaries only re-slice finished blocks.
 _COLUMN_BLOCK = 262_144
 
-_REQUEST_FIELDS = tuple(TaskRequests.__dataclass_fields__)
+#: Column order of a task-request table (the :class:`TaskRequests`
+#: fields); the default projection of :func:`iter_task_requests`.
+TASK_REQUEST_COLUMNS: tuple[str, ...] = tuple(TaskRequests.__dataclass_fields__)
 
 
-def concat_task_requests(chunks: Iterable[TaskRequests]) -> TaskRequests:
-    """Concatenate request chunks column-wise (order preserved)."""
-    chunks = list(chunks)
-    if not chunks:
-        raise ValueError("concat_task_requests requires at least one chunk")
-    if len(chunks) == 1:
-        return chunks[0]
-    return TaskRequests(
-        **{
-            name: np.concatenate([getattr(c, name) for c in chunks])
-            for name in _REQUEST_FIELDS
-        }
-    )
+def _check_columns(columns: Iterable[str]) -> tuple[str, ...]:
+    names = tuple(columns)
+    if not names:
+        raise ValueError("columns must name at least one task-request column")
+    unknown = set(names) - set(TASK_REQUEST_COLUMNS)
+    if unknown:
+        raise ValueError(f"unknown task-request columns: {sorted(unknown)}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"task-request columns repeat a name: {list(names)}")
+    return names
 
 
-def _slice_requests(requests: TaskRequests, lo: int, hi: int) -> TaskRequests:
-    """Row slice ``[lo, hi)`` as views into the parent columns."""
-    return TaskRequests(
-        **{name: getattr(requests, name)[lo:hi] for name in _REQUEST_FIELDS}
-    )
+def _draw_request_columns(
+    config: GoogleConfig, rng: np.random.Generator, n: int
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Draw one block's random columns lazily, one per ``next()``.
+
+    The order mirrors :func:`generate_task_requests` (priority,
+    duration, fate, requests, utilizations, page cache); duration is
+    conditioned on priority, so priority always comes first.
+    """
+    priority = _sample_priorities(config, rng, n)
+    yield "priority", priority
+    yield "duration", _sample_task_lengths(config, rng, priority)
+    fate_names = list(config.fate_probs)
+    fate_p = np.asarray([config.fate_probs[k] for k in fate_names])
+    fate_draw = rng.choice(len(fate_names), size=n, p=fate_p)
+    fate = np.asarray([FATE_CODES[k] for k in fate_names])[fate_draw]
+    yield "fate", fate.astype(np.int8)
+    yield "cpu_request", config.cpu_request.sample(rng, n)
+    yield "mem_request", config.mem_request.sample(rng, n)
+    lo_c, hi_c = config.cpu_utilization_range
+    lo_m, hi_m = config.mem_utilization_range
+    lo_p, hi_p = config.page_cache_range
+    yield "cpu_utilization", rng.uniform(lo_c, hi_c, n)
+    yield "mem_utilization", rng.uniform(lo_m, hi_m, n)
+    yield "page_cache", rng.uniform(lo_p, hi_p, n)
 
 
 def _sample_request_block(
@@ -447,36 +466,31 @@ def _sample_request_block(
     rng: np.random.Generator,
     submit: np.ndarray,
     first_job_id: int,
-) -> TaskRequests:
-    """Sample every non-arrival column for one block of submissions.
+    names: tuple[str, ...],
+) -> dict[str, np.ndarray]:
+    """The requested columns for one block of submissions, in order.
 
-    Column draw order mirrors :func:`generate_task_requests` (priority,
-    duration, fate, requests, utilizations, page cache) so the two
-    paths stay structurally comparable.
+    Random columns are drawn in :func:`_draw_request_columns`' fixed
+    order and drawing stops after the last requested one, so every
+    kept column equals its counterpart in the full block bit for bit.
+    ``submit_time``, ``job_id`` and ``task_index`` cost no draws.
     """
     n = submit.size
-    priority = _sample_priorities(config, rng, n)
-    duration = _sample_task_lengths(config, rng, priority)
-    fate_names = list(config.fate_probs)
-    fate_p = np.asarray([config.fate_probs[k] for k in fate_names])
-    fate_draw = rng.choice(len(fate_names), size=n, p=fate_p)
-    fate = np.asarray([FATE_CODES[k] for k in fate_names])[fate_draw]
-    lo_c, hi_c = config.cpu_utilization_range
-    lo_m, hi_m = config.mem_utilization_range
-    lo_p, hi_p = config.page_cache_range
-    return TaskRequests(
-        submit_time=submit,
-        job_id=np.arange(first_job_id, first_job_id + n, dtype=np.int64),
-        task_index=np.zeros(n, dtype=np.int32),
-        priority=priority,
-        cpu_request=config.cpu_request.sample(rng, n),
-        mem_request=config.mem_request.sample(rng, n),
-        duration=duration,
-        cpu_utilization=rng.uniform(lo_c, hi_c, n),
-        mem_utilization=rng.uniform(lo_m, hi_m, n),
-        page_cache=rng.uniform(lo_p, hi_p, n),
-        fate=fate.astype(np.int8),
-    )
+    columns = {
+        "submit_time": submit,
+        "job_id": np.arange(first_job_id, first_job_id + n, dtype=np.int64),
+        "task_index": np.zeros(n, dtype=np.int32),
+    }
+    wanted = set(names)
+    draws = _draw_request_columns(config, rng, n)
+    while not wanted <= columns.keys():
+        name, values = next(draws)
+        columns[name] = values
+    return {name: columns[name] for name in names}
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def iter_task_requests(
@@ -486,15 +500,19 @@ def iter_task_requests(
     *,
     tasks_per_hour: float,
     chunk_tasks: int = 1_000_000,
-) -> Iterator[TaskRequests]:
+    columns: Iterable[str] = TASK_REQUEST_COLUMNS,
+) -> Iterator[Table]:
     """Stream task requests as bounded-size columnar chunks.
 
     The scalable path to paper scale (25M tasks) and beyond: arrival
-    times stream in bounded hour blocks (``iter_generate`` — only the
-    per-hour rate and count vectors are full-horizon), and all other
-    columns are sampled per fixed-size internal block from that block's
-    own spawned RNG stream, so peak memory is one arrival block plus
-    one chunk instead of eleven full-horizon columns.
+    times stream in hour blocks of about one column block
+    (``iter_generate``; only the per-hour rate and count vectors are
+    full-horizon), and the other columns are sampled per fixed-size
+    internal block from that block's own spawned RNG stream. Each chunk
+    is a :class:`~repro.core.table.Table` holding exactly ``columns``,
+    in the order given: a projection draws, concatenates and holds only
+    those columns, so peak memory is a few column blocks plus one chunk
+    of the requested columns.
 
     Guarantees:
 
@@ -502,9 +520,15 @@ def iter_task_requests(
     * Chunk-size invariant: concatenating the yielded chunks gives the
       same arrays bit for bit whatever ``chunk_tasks`` is (the golden
       test checks this against :func:`generate_task_requests_chunked`).
+    * Projection invariant: every kept column equals the same column of
+      the full stream bit for bit, whatever else is requested.
     * Chunks are globally time-sorted (arrivals are sorted and blocks
       are consecutive slices), so they can feed streaming consumers
       directly.
+
+    ``columns`` is checked at the first ``next()``, before any row is
+    generated: an empty selection, an unknown name or a repeated name
+    raises :class:`ValueError`.
 
     This is a distinct stream from :func:`generate_task_requests` (the
     legacy single-pass path draws every column from one RNG and is kept
@@ -520,6 +544,7 @@ def iter_task_requests(
         )
     if chunk_tasks <= 0:
         raise ValueError("chunk_tasks must be positive")
+    names = _check_columns(columns)
     base_rate, cv = _busy_compensation(config, tasks_per_hour)
     process = DoublyStochasticArrivals(
         mean_per_hour=base_rate,
@@ -529,7 +554,9 @@ def iter_task_requests(
         busy_factor=config.busy_factor,
     )
     arrival_seq, column_seq = np.random.SeedSequence(seed).spawn(2)
-    arrival_blocks = process.iter_generate(np.random.default_rng(arrival_seq), horizon)
+    arrival_blocks = process.iter_generate(
+        np.random.default_rng(arrival_seq), horizon, block_tasks=_COLUMN_BLOCK
+    )
 
     # Re-slice the streamed arrivals into the same consecutive
     # _COLUMN_BLOCK-sized pieces the materialized path produced, and
@@ -537,7 +564,7 @@ def iter_task_requests(
     # (spawn(1) repeated == spawn(n_blocks) up front), so block seeds —
     # and hence every sampled column — stay bit-identical without
     # knowing the total block count in advance.
-    pending: list[TaskRequests] = []
+    pending: dict[str, list[np.ndarray]] = {name: [] for name in names}
     pending_rows = 0
     buffered: list[np.ndarray] = []
     buffered_rows = 0
@@ -563,20 +590,24 @@ def iter_task_requests(
             np.random.default_rng(column_seq.spawn(1)[0]),
             merged_submit[:take],
             start,
+            names,
         )
         start += take
-        pending.append(block)
-        pending_rows += len(block)
+        for name, values in block.items():
+            pending[name].append(values)
+        pending_rows += take
         while pending_rows >= chunk_tasks:
-            merged = concat_task_requests(pending)
-            yield _slice_requests(merged, 0, chunk_tasks)
-            rest = _slice_requests(merged, chunk_tasks, len(merged))
-            pending = [rest] if len(rest) else []
-            pending_rows = len(rest)
+            merged = {name: _join(parts) for name, parts in pending.items()}
+            yield Table({name: arr[:chunk_tasks] for name, arr in merged.items()})
+            pending_rows -= chunk_tasks
+            pending = {
+                name: [arr[chunk_tasks:]] if pending_rows else []
+                for name, arr in merged.items()
+            }
     if start == 0:
         raise ValueError("horizon too short: no tasks generated")
     if pending_rows:
-        yield concat_task_requests(pending)
+        yield Table({name: _join(parts) for name, parts in pending.items()})
 
 
 def generate_task_requests_chunked(
@@ -592,11 +623,10 @@ def generate_task_requests_chunked(
     against: for every ``chunk_tasks``, concatenating
     :func:`iter_task_requests`'s chunks equals this bit for bit.
     """
-    return concat_task_requests(
-        iter_task_requests(
-            horizon, seed, config, tasks_per_hour=tasks_per_hour
-        )
+    chunks = list(
+        iter_task_requests(horizon, seed, config, tasks_per_hour=tasks_per_hour)
     )
+    return TaskRequests(**concat_tables(chunks).columns())
 
 
 def generate_google_trace(

@@ -4,7 +4,8 @@ Bridges the columnar generator (:func:`iter_task_requests`, bounded
 memory per chunk) to :class:`repro.core.shard.ShardedTable` (bounded
 memory per analysis pass): the stream is fed through a
 :class:`~repro.core.shard.ShardWriter`, so a 10–100x-paper-scale trace
-reaches disk without ever materializing more than one generator chunk.
+reaches disk without ever materializing more than one generator chunk
+of the spilled columns.
 Shard boundaries are fixed multiples of ``shard_rows`` — independent of
 the generator's ``chunk_tasks`` — so the spilled table is a pure
 function of ``(horizon, seed, config, tasks_per_hour, shard_rows,
@@ -17,14 +18,9 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from ..core.shard import ShardedTable, ShardWriter
-from .google_model import GoogleConfig, TaskRequests, iter_task_requests
+from .google_model import TASK_REQUEST_COLUMNS, GoogleConfig, iter_task_requests
 
 __all__ = ["TASK_REQUEST_COLUMNS", "shard_task_requests"]
-
-#: Column order of a spilled task-request table (the dataclass fields).
-TASK_REQUEST_COLUMNS: tuple[str, ...] = tuple(
-    TaskRequests.__dataclass_fields__
-)
 
 
 def shard_task_requests(
@@ -35,35 +31,36 @@ def shard_task_requests(
     *,
     tasks_per_hour: float,
     shard_rows: int,
-    columns: Sequence[str] | None = None,
+    columns: Sequence[str] = TASK_REQUEST_COLUMNS,
     chunk_tasks: int = 1_000_000,
     resume: bool = False,
 ) -> ShardedTable:
     """Generate and spill a task-request stream as one sharded table.
 
     ``columns`` restricts the spill to the named request columns (e.g.
-    only what a characterization pass reads), cutting disk footprint
-    proportionally; the kept columns are bit-identical to a full spill.
+    only what a characterization pass reads), in the order given. The
+    projection reaches the generator, so the columns left out are
+    neither drawn nor held: it cuts generation time and memory as well
+    as the disk footprint. The kept columns are bit-identical to a full
+    spill, and a bad selection raises :class:`ValueError` before
+    anything is generated or written.
     With ``resume``, a spill interrupted at the same ``dest`` continues
     from its journaled shard prefix instead of regenerating everything —
     safe because the stream is a pure function of its arguments, so the
     replayed rows match the rows already on disk.
     """
-    names = TASK_REQUEST_COLUMNS if columns is None else tuple(columns)
-    unknown = set(names) - set(TASK_REQUEST_COLUMNS)
-    if unknown:
-        raise ValueError(f"unknown task-request columns: {sorted(unknown)}")
     stream = iter_task_requests(
         horizon,
         seed,
         config,
         tasks_per_hour=tasks_per_hour,
         chunk_tasks=chunk_tasks,
+        columns=columns,
     )
     first = next(stream)
-    schema = {name: getattr(first, name).dtype for name in names}
+    schema = {name: first[name].dtype for name in first.column_names}
     with ShardWriter(dest, schema, shard_rows, resume=resume) as writer:
-        writer.append({name: getattr(first, name) for name in names})
+        writer.append(first)
         for chunk in stream:
-            writer.append({name: getattr(chunk, name) for name in names})
+            writer.append(chunk)
     return ShardedTable.open(dest)

@@ -6,16 +6,19 @@ import pytest
 from repro.core.fairness import submission_rate_stats
 from repro.core.masscount import mass_count
 from repro.core.summary import fraction_below
+from repro.core.shard import ShardWriter
+from repro.core.table import concat_tables
 from repro.synth.google_model import (
     FATE_CODES,
+    TASK_REQUEST_COLUMNS,
     GoogleConfig,
-    concat_task_requests,
     generate_google_jobs,
     generate_google_trace,
     generate_task_requests,
     generate_task_requests_chunked,
     iter_task_requests,
 )
+from repro.synth.sharded import shard_task_requests
 from repro.synth.presets import DAY, HOUR
 from repro.traces.schema import JOB_TABLE_SCHEMA, TaskEvent
 from repro.traces.validate import validate_trace
@@ -209,13 +212,46 @@ class TestChunkedGeneration:
         assert all(
             len(c) == chunk_tasks for c in chunks[:-1]
         )  # only the tail may be short
-        rebuilt = concat_task_requests(chunks)
+        rebuilt = concat_tables(chunks)
+        assert rebuilt.column_names == TASK_REQUEST_COLUMNS
         assert len(rebuilt) == len(whole)
         for name, column in self._fields(whole).items():
-            np.testing.assert_array_equal(
-                getattr(rebuilt, name), column, err_msg=name
+            np.testing.assert_array_equal(rebuilt[name], column, err_msg=name)
+            assert rebuilt[name].dtype == column.dtype
+
+    @pytest.mark.parametrize("chunk_tasks", [37, 10**9])
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ("submit_time",),
+            ("duration",),
+            ("submit_time", "duration"),
+            ("page_cache", "priority"),
+            TASK_REQUEST_COLUMNS,
+        ],
+        ids="-".join,
+    )
+    def test_projection_matches_full_stream(self, columns, chunk_tasks):
+        # A projection skips the draws after its last column, and each
+        # column block draws from its own spawned stream, so every kept
+        # column is the full stream's column bit for bit.
+        whole = generate_task_requests_chunked(12 * HOUR, seed=5, **self.KW)
+        projected = concat_tables(
+            list(
+                iter_task_requests(
+                    12 * HOUR,
+                    seed=5,
+                    chunk_tasks=chunk_tasks,
+                    columns=columns,
+                    **self.KW,
+                )
             )
-            assert getattr(rebuilt, name).dtype == column.dtype
+        )
+        assert projected.column_names == columns
+        for name in columns:
+            column = getattr(whole, name)
+            np.testing.assert_array_equal(projected[name], column, err_msg=name)
+            assert projected[name].dtype == column.dtype
 
     def test_deterministic_in_seed(self):
         a = generate_task_requests_chunked(6 * HOUR, seed=8, **self.KW)
@@ -228,10 +264,10 @@ class TestChunkedGeneration:
         chunks = list(
             iter_task_requests(8 * HOUR, seed=6, chunk_tasks=100, **self.KW)
         )
-        req = concat_task_requests(chunks)
-        assert np.all(np.diff(req.submit_time) >= 0)
-        assert len(np.unique(req.job_id)) == len(req)
-        np.testing.assert_array_equal(req.job_id, np.arange(len(req)))
+        req = concat_tables(chunks)
+        assert np.all(np.diff(req["submit_time"]) >= 0)
+        assert len(np.unique(req["job_id"])) == len(req)
+        np.testing.assert_array_equal(req["job_id"], np.arange(len(req)))
 
     def test_generator_seed_rejected(self):
         with pytest.raises(TypeError, match="seed"):
@@ -245,9 +281,56 @@ class TestChunkedGeneration:
         with pytest.raises(ValueError, match="chunk_tasks"):
             next(iter_task_requests(HOUR, seed=0, chunk_tasks=0, **self.KW))
 
-    def test_empty_concat_rejected(self):
-        with pytest.raises(ValueError, match="at least one chunk"):
-            concat_task_requests([])
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ((), "at least one"),
+            (("duration", "duration"), "repeat"),
+            (("duration", "cpu"), "unknown"),
+        ],
+    )
+    def test_bad_columns_rejected(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            next(iter_task_requests(HOUR, seed=0, columns=columns, **self.KW))
+
+    @pytest.mark.parametrize("columns", [(), ("duration", "duration")])
+    def test_bad_spill_columns_rejected_before_writing(self, tmp_path, columns):
+        # Validation runs at the generator's first next(), before any row
+        # is drawn, so the spill fails without creating its destination.
+        dest = tmp_path / "spill"
+        with pytest.raises(ValueError):
+            shard_task_requests(
+                dest, HOUR, seed=0, shard_rows=100, columns=columns, **self.KW
+            )
+        assert not dest.exists()
+
+    def test_spill_equals_writing_the_full_stream(self, tmp_path):
+        columns = ("submit_time", "duration")
+        whole = generate_task_requests_chunked(12 * HOUR, seed=5, **self.KW)
+        spilled = shard_task_requests(
+            tmp_path / "spill",
+            12 * HOUR,
+            seed=5,
+            shard_rows=700,
+            columns=columns,
+            chunk_tasks=500,
+            **self.KW,
+        )
+        schema = {name: getattr(whole, name).dtype for name in columns}
+        with ShardWriter(tmp_path / "direct", schema, shard_rows=700) as writer:
+            writer.append({name: getattr(whole, name) for name in columns})
+        assert spilled.num_rows == len(whole)
+
+        def tree(root):
+            return {
+                p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*")
+                if p.is_file()
+            }
+
+        spill = tree(tmp_path / "spill")
+        assert any(rel.name == "manifest.json" for rel in spill)
+        assert spill == tree(tmp_path / "direct")
 
 
 class TestGenerateGoogleTrace:
