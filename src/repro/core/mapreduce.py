@@ -22,9 +22,12 @@ Blocks are one task kind of the shared executor
 (:mod:`repro.core.supervise`), which owns the worker mechanics: a
 one-shot process per attempt, waits on result pipes and sentinels
 together, a kill at the per-block timeout, seeded-backoff retries.
-Block workers fork from a **forkserver** that each pass starts with
-this module and the kernel's module preloaded, so an attempt costs a
-fork, not an interpreter start. They never fork from the caller, so
+Block workers fork from a **forkserver**: the run's, when the pass runs
+inside a :func:`~repro.core.supervise.forkserver` scope (an experiment
+run opens one around its fan-out), or else one the pass starts with
+this module and the kernel's module preloaded. An attempt costs a fork,
+not an interpreter start, and a worker exits as soon as the process
+that launched it is gone. They never fork from the caller, so
 nothing is smuggled through copy-on-write: the kernel and every
 argument cross a real pickle boundary into fresh module state
 (repro-lint REP303) and workers touch no module-level state (REP103).
@@ -63,8 +66,12 @@ optional ``timings`` so they surface in the run's recovery footer and
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import traceback
 from collections.abc import Callable, Sequence
+from multiprocessing.connection import wait
 
 from .shard import ShardIntegrityError, ShardedTable
 from .supervise import Executor, Policy
@@ -158,6 +165,7 @@ def _block_main(
     attempt: int,
 ) -> None:
     """Worker entry: evaluate one block, send one classified message."""
+    _exit_with_launcher()
     try:
         try:
             if inject is not None:
@@ -171,6 +179,25 @@ def _block_main(
             conn.send(("error", _format_error(exc)))
     finally:
         conn.close()
+
+
+def _exit_with_launcher() -> None:
+    """End this worker as soon as the process that launched it is gone.
+
+    A launcher killed mid-pass (an experiment worker past its timeout or
+    the run deadline) never reaps its blocks. The forkserver hands each
+    worker the read end of its launcher's data pipe as the parent
+    sentinel, which reads EOF once the launcher has exited; a daemon
+    thread waits for that and exits the worker, so no block outlives
+    its launcher and the run's server can stop.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-launcher", daemon=True).start()
 
 
 def _format_error(exc: BaseException) -> str:

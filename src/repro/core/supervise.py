@@ -26,16 +26,19 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import multiprocessing.forkserver
+import os
 import sys
 import time
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Iterator, Sequence
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from multiprocessing import forkserver
+from multiprocessing import resource_tracker
 from multiprocessing.connection import wait
 
 from .shard import VERIFY_MODES
 
-__all__ = ["Executor", "Policy", "backoff_delay"]
+__all__ = ["Executor", "Policy", "backoff_delay", "forkserver"]
 
 #: Supervision loop granularity: the longest the parent waits before it
 #: looks at deadlines again.
@@ -143,6 +146,43 @@ class _Running:
     kill_at: float | None  # monotonic deadline, None = no timeout
 
 
+#: Pid of the process whose :func:`forkserver` scope owns the running
+#: server, ``None`` while no scope is open. A process forked inside the
+#: scope inherits it along with the server's address and ``alive`` pipe.
+_owner: int | None = None
+
+
+@contextmanager
+def forkserver(preload: Sequence[str] = ()) -> Iterator[None]:
+    """Launch every ``forkserver`` worker of the scope from one server.
+
+    The outermost scope starts the server with ``preload`` imported in
+    it, and stops and reaps it on exit. A scope nested in it, in this
+    process or in one forked from it while it is open, launches through
+    that server and owns nothing; its ``preload`` is ignored, and a
+    worker imports whatever the server lacks itself.
+
+    The server exits only once every holder of its ``alive`` pipe has
+    closed it: the owner, each process forked inside the scope and each
+    worker launched through the server. So the owner's stop waits for
+    all of them, and a process forked inside the scope can rely on the
+    server for as long as it lives.
+    """
+    global _owner
+    if _owner is None:
+        _start_forkserver(preload)
+        _owner = os.getpid()
+        try:
+            yield
+        finally:
+            _owner = None
+            _stop_forkserver()
+    else:
+        if _owner != os.getpid():
+            _inherit_forkserver()
+        yield
+
+
 def _start_forkserver(preload: Sequence[str]) -> None:
     """Start this process's forkserver with ``preload`` imported in it.
 
@@ -150,16 +190,35 @@ def _start_forkserver(preload: Sequence[str]) -> None:
     ``prepare()`` through runpy, which warns when it is already loaded.
     """
     main = getattr(sys.modules["__main__"].__spec__, "name", None)
-    forkserver.set_forkserver_preload(
+    multiprocessing.forkserver.set_forkserver_preload(
         [name for name in preload if name not in ("__main__", main)]
     )
-    forkserver.ensure_running()
+    multiprocessing.forkserver.ensure_running()
+
+
+# CPython 3.10-3.13 has no public API to stop a forkserver or to share
+# one with a forked child; these two reach into the module's singleton.
 
 
 def _stop_forkserver() -> None:
     """Stop the forkserver and reap it with ``waitpid``."""
-    # CPython 3.10-3.13 has no public stop; this is the one its tests use.
-    forkserver._forkserver._stop()
+    # The stop CPython's own tests use.
+    multiprocessing.forkserver._forkserver._stop()
+
+
+def _inherit_forkserver() -> None:
+    """Launch through the server of the process this one was forked from.
+
+    Every launch first calls the server's ``ensure_running``, which
+    checks the server with ``waitpid``. In a forked child the server is
+    a sibling, not a child, so ``waitpid`` raises ``ChildProcessError``.
+    The server outlives this process (see :func:`forkserver`), so the
+    check is skipped for the rest of this process's life; a launch then
+    only makes sure of the resource tracker, as ``ensure_running``
+    would.
+    """
+    server = multiprocessing.forkserver._forkserver
+    server.ensure_running = resource_tracker.ensure_running  # shadows the method
 
 
 def _terminate(worker: _Running) -> None:
@@ -190,20 +249,20 @@ class Executor:
     reads the clock only through :meth:`past_deadline` and
     :meth:`elapsed`.
 
-    With ``method="forkserver"`` the executor owns a forkserver for
-    exactly one pass: :meth:`run` starts it with ``preload`` imported
-    before the first launch, and stops and reaps it after every worker
-    is reaped, however the pass ends. Each attempt then costs a fork of
-    a process that has imported the worker's modules but holds none of
-    the caller's state. Why the server lives for one pass and no
-    longer:
+    With ``method="forkserver"`` every attempt is forked from a server
+    that has imported the worker's modules but holds none of the
+    caller's state. :meth:`run` runs the pass inside a :func:`forkserver`
+    scope and reaps every worker before the scope ends, however the
+    pass ends:
 
-    * A forked experiment worker cannot reuse its parent's server:
-      CPython 3.10-3.13 ``ensure_running`` calls ``waitpid`` on a
-      process that is not its child and raises ``ChildProcessError``.
-    * A stop at process exit never runs in an experiment worker, which
-      is SIGTERMed right after it reports; the server would leak, and
-      the CPU of every block worker with it.
+    * Inside a run's scope (an experiment run opens one around its
+      fan-out when a block pass can fan out), the pass launches through
+      the run's server, from a forked experiment worker too, so the
+      server starts once per run rather than once per pass.
+    * Outside any scope the pass owns a server with ``preload``
+      imported, and stops and reaps it when the pass ends. No server
+      is left to a stop at process exit, which would never run in an
+      experiment worker: it is SIGTERMed right after it reports.
     * CPython's forkserver never preloads ``__main__``, so each worker
       re-runs the main module in ``prepare()``; that is cheap only once
       the main module's imports are preloaded.
@@ -323,38 +382,41 @@ class Executor:
 
     def run(self) -> None:
         """Schedule, wait and dispatch until no attempt is left."""
-        server = self._ctx.get_start_method() == "forkserver"
-        try:
-            if server:
-                _start_forkserver(self._preload)
-            while self.pending or self.running:
-                if self.stop():
-                    break
-                now = _now()
-                self.pending.sort(key=lambda item: item.eligible_at)
-                while (
-                    self.pending
-                    and len(self.running) < self.jobs
-                    and self.pending[0].eligible_at <= now
-                ):
-                    item = self.pending.pop(0)
-                    self.launch(item.key, item.attempt)
-                self.speculate()
-                if not self.running:
-                    # Everything queued is in backoff: sleep until the
-                    # first retry is due (or the run deadline).
-                    if self.pending:
-                        wake = self.pending[0].eligible_at
-                        if self.deadline is not None:
-                            wake = min(wake, self.deadline)
-                        time.sleep(max(0.0, wake - _now()))
-                    continue
-                self._wait()
-                self._dispatch()
-        finally:
-            self.reap()
-            if server:
-                _stop_forkserver()
+        if self._ctx.get_start_method() == "forkserver":
+            scope = forkserver(self._preload)
+        else:
+            scope = nullcontext()
+        with scope:
+            try:
+                self._loop()
+            finally:
+                self.reap()
+
+    def _loop(self) -> None:
+        while self.pending or self.running:
+            if self.stop():
+                break
+            now = _now()
+            self.pending.sort(key=lambda item: item.eligible_at)
+            while (
+                self.pending
+                and len(self.running) < self.jobs
+                and self.pending[0].eligible_at <= now
+            ):
+                item = self.pending.pop(0)
+                self.launch(item.key, item.attempt)
+            self.speculate()
+            if not self.running:
+                # Everything queued is in backoff: sleep until the
+                # first retry is due (or the run deadline).
+                if self.pending:
+                    wake = self.pending[0].eligible_at
+                    if self.deadline is not None:
+                        wake = min(wake, self.deadline)
+                    time.sleep(max(0.0, wake - _now()))
+                continue
+            self._wait()
+            self._dispatch()
 
     def _wait(self) -> None:
         """Block until a worker reports or dies, or a deadline is due."""

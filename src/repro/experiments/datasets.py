@@ -74,6 +74,7 @@ __all__ = [
     "ScaleSpec",
     "WorkloadDataset",
     "active_backend",
+    "blocks_fan_out",
     "configure_backend",
     "configure_cache",
     "dataset_cache",
@@ -415,10 +416,11 @@ class BackendSpec:
     table as its only shard, in this process. ``sharded`` spills the
     table to a :class:`repro.core.shard.ShardedTable` of
     ``shard_rows``-row shards and folds the same kernel over them,
-    optionally across ``jobs`` block workers forked from a per-pass
-    forkserver. Both backends run one set of kernels whose merges are
-    exact, so output is byte-identical for any ``shard_rows`` and
-    ``jobs``; only peak memory and wall-clock change.
+    optionally across ``jobs`` block workers forked from a forkserver
+    (one per supervised run, see :func:`blocks_fan_out`). Both backends
+    run one set of kernels whose merges are exact, so output is
+    byte-identical for any ``shard_rows`` and ``jobs``; only peak
+    memory and wall-clock change.
     """
 
     name: str = "memory"
@@ -727,6 +729,24 @@ def _table_root(table: str, scale: str, seed: int, shard_rows: int) -> str:
             spec.group_by,
         )
     return _ROOTS[memo]
+
+
+def blocks_fan_out(scale: str, seed: int) -> bool:
+    """Whether a pass over some table can launch block workers.
+
+    True under the sharded backend with more than one job when some
+    table is longer than one shard; every other pass runs its blocks
+    inline. Builds the tables, so ask once the datasets are warm.
+    """
+    backend = active_backend()
+    return (
+        backend.name == "sharded"
+        and backend.jobs > 1
+        and any(
+            spec.build(scale, seed).num_rows > backend.shard_rows
+            for spec in _TABLES.values()
+        )
+    )
 
 
 def _shard_injector(kind: str):

@@ -422,9 +422,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     )
     if args.fault_plan is not None:
-        # Spawn-based map-reduce workers and spill hooks read the plan
-        # from the environment; export an explicit --fault-plan so the
-        # out-of-core fault kinds reach them too.
+        # The shard-fault and spill hooks, built in each experiment
+        # worker, read the plan from the environment; export an explicit
+        # --fault-plan so the out-of-core fault kinds reach them too.
         os.environ[PLAN_ENV] = args.fault_plan
     reset_dataset_stats()
 

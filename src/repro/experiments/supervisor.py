@@ -8,7 +8,10 @@ executor (:mod:`repro.core.supervise`), which owns the worker
 mechanics; this module adds what only experiments have:
 
 * Attempts run in **forked** workers, so every worker inherits the
-  dataset memo warmed once before the fan-out.
+  dataset memo warmed once before the fan-out. When a block pass of
+  the run can fan out (:func:`~repro.experiments.datasets.blocks_fan_out`),
+  the fan-out runs inside one forkserver scope, so the block workers of
+  every experiment fork from one server that starts once per run.
 * Failures are classified — ``crash`` (worker died), ``timeout``
   (exceeded the per-experiment wall-clock budget and was killed),
   ``cache-corruption`` (a typed corruption error surfaced), or
@@ -43,13 +46,14 @@ import json
 import os
 import traceback
 from collections.abc import Mapping, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import __version__
 from ..core.diskcache import CacheCorruptionError
 from ..core.fsutil import publish_atomically
-from ..core.supervise import Executor, Policy
+from ..core.supervise import Executor, Policy, forkserver
 from ..core.timing import Timings
 from . import datasets
 from .faults import FaultPlan
@@ -74,6 +78,9 @@ TRANSIENT_KINDS = frozenset({"crash", "timeout", "cache-corruption"})
 #: First-retry backoff, doubling per attempt up to the cap (seconds).
 BACKOFF_BASE = 0.25
 BACKOFF_CAP = 30.0
+#: What the run's block server imports before it forks a worker: every
+#: kernel's module (the registry imports them all) and the block entry.
+BLOCK_PRELOAD = ("repro.experiments.registry", "repro.core.mapreduce")
 
 
 @dataclass
@@ -462,7 +469,12 @@ def run_supervised(
         run.results.update(resumed)
         for experiment_id in todo:
             run.submit(experiment_id)
-        run.run()
+        if todo and datasets.blocks_fan_out(scale, seed):
+            scope = forkserver(BLOCK_PRELOAD)
+        else:
+            scope = nullcontext()
+        with scope:
+            run.run()
         outcomes = [run.results[experiment_id] for experiment_id in ids]
 
     # Run-level counters: the parent's own traffic (the warm-up, or

@@ -5,6 +5,7 @@ experiments use, folding per-shard partials must reproduce the batch
 computation bit for bit, for any shard size and for the worker pool.
 """
 
+import multiprocessing
 import operator
 import os
 import resource
@@ -12,7 +13,7 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -664,3 +665,186 @@ class TestWorkerStart:
         assert proc.returncode == 0, proc.stderr
         assert "Fig. 4" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr, proc.stderr
+
+
+# -- one server per run: forked launchers share it, blocks die with them ------
+
+
+def _is_forkserver(pid):
+    try:
+        cmdline = Path("/proc", str(pid), "cmdline").read_bytes()
+    except OSError:
+        return False
+    return b"multiprocessing.forkserver" in cmdline
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path("/proc", str(pid), "stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _parent_pid(shard):
+    return os.getppid()
+
+
+def _launch_pass(table, conn):
+    """Forked launcher: one two-block pass, reporting each block's ppid."""
+    conn.send(map_shards(table, _parent_pid, jobs=2))
+    conn.close()
+
+
+@dataclass(frozen=True)
+class _RecordAndHang:
+    """Name the worker of block 0's first attempt in ``directory``, then
+    stall it far past the test."""
+
+    directory: str
+
+    def __call__(self, root, block, attempt):
+        if block == 0 and attempt == 1:
+            Path(self.directory, str(os.getpid())).touch()
+            time.sleep(60)
+
+
+def _hanging_pass(table, directory):
+    # The timeout owns the hung attempt, so no speculative duplicate
+    # finishes the pass before the test kills this launcher.
+    map_reduce(
+        table,
+        _sum_kernel,
+        jobs=2,
+        merge=operator.add,
+        config=Policy(timeout=120.0),
+        inject=_RecordAndHang(directory),
+    )
+
+
+#: ``python -c`` script: the runner's CLI with every forkserver start
+#: recorded as the starting pid, one line each, in the file ``argv[1]``.
+#: Forked workers inherit the wrapper; ``-c`` leaves no main module for
+#: block workers to re-run.
+_RECORD_SERVER_STARTS = """
+import os, sys
+from repro.core import supervise
+
+def record(preload, start=supervise._start_forkserver):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    start(preload)
+
+supervise._start_forkserver = record
+from repro.experiments.runner import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestRunServer:
+    """A supervised run starts one forkserver, in the process that opens
+    the scope; every launcher forked inside the scope launches through
+    it, and no block worker outlives its launcher."""
+
+    @pytest.fixture
+    def sharded(self, tmp_path):
+        return write_table(Table({"x": np.arange(4)}), tmp_path / "t", 1)
+
+    @pytest.mark.parametrize(
+        "shard_rows, servers",
+        [(["--shard-rows", "4096"], 1), ([], 0)],
+        ids=["multi-shard", "one-shard"],
+    )
+    def test_sharded_run_starts_one_server_in_the_parent(
+        self, tmp_path, shard_rows, servers
+    ):
+        # At 4096 rows both experiments' tables span several shards;
+        # at the default every small-scale table is one shard, so no
+        # pass can fan out and none needs a server.
+        starts = tmp_path / "starts"
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                _RECORD_SERVER_STARTS,
+                str(starts),
+                "fig2",
+                "fig4",
+                "--scale",
+                "small",
+                "--backend",
+                "sharded",
+                "--jobs",
+                "2",
+                *shard_rows,
+                "--no-cache",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env(),
+            cwd=str(tmp_path),
+        )
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert "Fig. 2" in out and "Fig. 4" in out
+        recorded = starts.read_text().split() if starts.exists() else []
+        assert recorded == [str(proc.pid)] * servers
+
+    def test_forked_launchers_share_the_scope_server(self, sharded):
+        before = _children()
+        fork = multiprocessing.get_context("fork")
+        with supervise.forkserver((mapreduce.__name__, __name__)):
+            servers = {pid for pid in _children() - before if _is_forkserver(pid)}
+            launchers = []
+            for _ in range(2):
+                receive, send = fork.Pipe(duplex=False)
+                launcher = fork.Process(target=_launch_pass, args=(sharded, send))
+                launcher.start()
+                send.close()
+                launchers.append((launcher, receive))
+            parents = []
+            for launcher, receive in launchers:
+                parents.extend(receive.recv())
+                launcher.join(60)
+                assert launcher.exitcode == 0
+        assert len(servers) == 1
+        assert set(parents) == servers and len(parents) == 2 * 4
+        left = {pid for pid in _children() - before if not _is_resource_tracker(pid)}
+        assert not left, f"unreaped children: {sorted(left)}"
+
+    @pytest.mark.parametrize("scoped", [False, True], ids=["own-server", "run-server"])
+    def test_block_worker_exits_with_its_killed_launcher(
+        self, sharded, tmp_path, scoped
+    ):
+        # Own server: the launcher's pass owns one, as outside any run.
+        # Run server: the launcher is forked inside a scope, like an
+        # experiment worker, and the scope's stop must not wait for the
+        # hung block.
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        fork = multiprocessing.get_context("fork")
+        if scoped:
+            scope = supervise.forkserver((mapreduce.__name__, __name__))
+        else:
+            scope = nullcontext()
+        with scope:
+            launcher = fork.Process(target=_hanging_pass, args=(sharded, str(marks)))
+            launcher.start()
+            try:
+                deadline = time.monotonic() + 60
+                while not any(marks.iterdir()) and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                (mark,) = marks.iterdir()
+            finally:
+                os.kill(launcher.pid, signal.SIGKILL)
+                launcher.join(10)
+            assert launcher.exitcode == -signal.SIGKILL
+            killed = time.monotonic()
+            block = int(mark.name)
+            while _running(block) and time.monotonic() < killed + 5:
+                time.sleep(0.02)
+            assert not _running(block), "block worker outlived its launcher"
+        assert time.monotonic() - killed < 10
