@@ -154,7 +154,6 @@ def _evaluate_block(
 def _block_main(
     conn,
     root: str,
-    verify: str,
     block_index: int,
     indices: list[int],
     kernel: Kernel,
@@ -170,7 +169,7 @@ def _block_main(
         try:
             if inject is not None:
                 inject(root, block_index, attempt)
-            table = ShardedTable.open(root, verify=verify)
+            table = ShardedTable.open(root)
             payload = _evaluate_block(table, indices, kernel, args, fold, merge)
             conn.send(("ok", payload))
         except ShardIntegrityError as exc:
@@ -238,7 +237,6 @@ def _run_block_inline(
     args: tuple,
     fold: bool,
     merge: Merge,
-    verify: str,
     heal: Heal | None,
     table: ShardedTable | None = None,
 ) -> object:
@@ -246,7 +244,7 @@ def _run_block_inline(
     while True:
         try:
             if table is None:
-                table = ShardedTable.open(state.root, verify=verify)
+                table = ShardedTable.open(state.root)
             return _evaluate_block(table, indices, kernel, args, fold, merge)
         except ShardIntegrityError as exc:
             table = None
@@ -284,7 +282,6 @@ class _BlockRun(Executor):
         self.state = state
         self.blocks = blocks
         self.work = (kernel, args, fold, merge)
-        self.verify = config.verify
         self.inject = inject
         self.heal = heal
         self.timings = timings
@@ -298,7 +295,6 @@ class _BlockRun(Executor):
         kernel, args, fold, merge = self.work
         return (
             self.state.root,
-            self.verify,
             block,
             list(self.blocks[block]),
             kernel,
@@ -375,7 +371,7 @@ class _BlockRun(Executor):
         kernel, args, fold, merge = self.work
         self.completed[block] = _run_block_inline(
             self.state, self.blocks[block], kernel, args, fold, merge,
-            self.verify, self.heal,
+            self.heal,
         )
         _count(self.timings, "mapreduce_inline")
 
@@ -414,8 +410,8 @@ def _run_blocks(
         for block in blocks:
             results.append(
                 _run_block_inline(
-                    state, block, kernel, args, fold, merge, config.verify,
-                    heal, table=reuse,
+                    state, block, kernel, args, fold, merge, heal,
+                    table=reuse,
                 )
             )
             reuse = None if state.heals else table
@@ -442,7 +438,7 @@ def map_shards(
     """Kernel result per shard, in shard order.
 
     ``jobs`` splits the table into that many blocks; ``config`` supplies
-    the per-block timeout, retries (default 2) and verify mode.
+    the per-block timeout and retries (default 2).
     """
     n = table.num_shards
     if n == 0:

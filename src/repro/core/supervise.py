@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait
 
-from .shard import VERIFY_MODES
-
 __all__ = ["Executor", "Policy", "backoff_delay", "forkserver"]
 
 #: Supervision loop granularity: the longest the parent waits before it
@@ -106,8 +104,6 @@ class Policy:
     #: Cancel the rest of an experiment run on its first permanent
     #: failure.
     fail_fast: bool = False
-    #: Digest-verification mode block workers open shards with.
-    verify: str = "lazy"
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -118,11 +114,6 @@ class Policy:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.verify not in VERIFY_MODES:
-            raise ValueError(
-                f"unknown verify mode {self.verify!r}; available: "
-                f"{VERIFY_MODES}"
-            )
 
 
 @dataclass

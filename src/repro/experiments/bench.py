@@ -1,12 +1,11 @@
 """``repro-bench``: tracked kernel benchmark harness.
 
-Times the vectorized analysis/simulation kernels against their scalar
-golden references, the chunked paper-scale host-load pipeline, and the
-out-of-core sharded backend against the in-memory batch path (plus a
-spawn-isolated 10x-paper streaming run whose ``peak_rss_kb`` is the
-bounded-memory claim), at one or more dataset scales. The experiments
-and ``repro-lint`` are timed end to end, each in a fresh process, by
-the repository's ``bench/`` harness, not here. Results land in
+Times three vectorized kernels against their scalar golden references
+at one or more dataset scales: per-machine series extraction,
+run-length segmentation of usage levels, and the SoA simulator's drain
+against the scalar engine (``sim_drain``). Everything else is timed end
+to end, each workload in a fresh process, by the repository's
+``bench/`` harness, not here. Results land in
 ``benchmarks/BENCH_<n>.json`` snapshots (``n`` auto-increments) and
 each run diffs itself against the previous snapshot, flagging
 regressions.
@@ -25,60 +24,38 @@ Entry schema (one JSON object per benchmark x scale)::
      "peak_rss_kb": ..., "tasks_per_s": ..., "speedup": ...}
 
 ``peak_rss_kb`` is the process high-water mark after the entry ran
-(``getrusage``; monotone across entries — the paper-pipeline bound is
-its value on a fresh run). ``speedup`` is the median, over interleaved
-pairs of calls, of the oracle's (scalar or in-memory) wall over the
-kernel's wall; null for unpaired benches. ``wall_s`` is the kernel's
-best wall, and ``tasks_per_s`` is rows (or tasks) processed per
-kernel wall-second.
+(``getrusage``; monotone across entries). ``speedup`` is the median,
+over interleaved pairs of calls, of the scalar oracle's wall over the
+kernel's wall; null at scales that skip the oracle. ``wall_s`` is the
+kernel's best wall, and ``tasks_per_s`` is rows (or tasks) processed
+per kernel wall-second.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import re
 import resource
-import shutil
 import sys
-import tempfile
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
-from ..core.ecdf import ecdf
-from ..core.fairness import HourlyCountsAccumulator
-from ..core.kernels import (
-    ECDFAccumulator,
-    MassCountAccumulator,
-    pooled_level_durations,
-)
-from ..core.mapreduce import map_reduce
-from ..core.masscount import mass_count
-from ..core.shard import write_table
+from ..core.table import Table
 from ..core.timing import Timings
 from ..hostload.levels import (
     _pooled_level_durations_scalar,
-    duration_stats_by_level,
     pooled_level_durations as pooled_series_durations,
 )
 from ..hostload.series import _all_machine_series_scalar, grouped_machine_series
-from ..hostload.stream import UsageGridAccumulator
 from ..sim.cluster import ClusterSimulator, SimConfig
 from ..sim.monitor import MACHINE_USAGE_SCHEMA
-from ..synth.google_model import (
-    GoogleConfig,
-    generate_task_requests,
-    iter_task_requests,
-)
+from ..synth.google_model import GoogleConfig, generate_task_requests
 from ..synth.machines import generate_machines
-from ..synth.presets import DAY, HOUR
-from ..synth.sharded import shard_task_requests
-from ..traces.schema import priority_band_array
-from ..core.table import Table
+from ..synth.presets import DAY
 
 __all__ = ["main", "run_benchmarks"]
 
@@ -87,10 +64,6 @@ SNAPSHOT_PATTERN = re.compile(r"BENCH_(\d+)\.json$")
 #: Regression thresholds (see module docstring).
 SPEEDUP_RETENTION = 0.8
 SPEEDUP_GRACE_FLOOR = 5.0
-#: Baselines below this claim no real speedup (the sharded folds hover
-#: near 1x) — there the ratio is all measurement noise, so the
-#: retention check does not apply.
-SPEEDUP_CHECK_MIN = 1.5
 WALL_TOLERANCE = 1.2
 
 #: Synthetic usage-grid sizes per scale: (machines, ticks-per-machine).
@@ -105,26 +78,6 @@ _KERNEL_GRIDS = {
     "paper": (12_500, 720),
 }
 
-#: Streaming host-load pipeline sizes: (machines, horizon_s, tasks/hour).
-#: Paper scale is the full trace: 25M tasks on 12,500 machines over a
-#: month (25e6 tasks / 720 h).
-_PIPELINES = {
-    "small": (16, 2 * DAY, 1_000.0),
-    "medium": (1_000, 6 * DAY, 12_000.0),
-    "paper": (12_500, 30 * DAY, 25_000_000.0 / (30 * DAY / HOUR)),
-}
-
-#: The request columns the streamed host-load pipeline reads.
-_PIPELINE_COLUMNS = (
-    "submit_time",
-    "duration",
-    "cpu_request",
-    "cpu_utilization",
-    "mem_request",
-    "mem_utilization",
-    "priority",
-)
-
 #: ``sim_drain`` sizes: (machines, horizon_s, tasks/hour). Kept
 #: moderate so the scalar golden run stays affordable everywhere.
 _DRAIN_SIMS = {
@@ -137,24 +90,31 @@ _DRAIN_SIMS = {
 #: would dominate the whole run; their entries carry speedup null.
 _SCALAR_SKIP_SCALES = {"paper"}
 
-#: Sharded-reduction input sizes: synthetic duration rows per scale.
-#: Paper matches the trace's 25M tasks.
-_SHARDED_ROWS = {"small": 200_000, "medium": 2_000_000, "paper": 25_000_000}
-
-#: Production spill size (the runner's ``--shard-rows`` default).
-_SHARD_ROWS_DEFAULT = 1_000_000
-
-#: 10x-paper streaming run: (horizon_s, tasks/hour) — 250M tasks over
-#: the paper's month, spilled as 5M-row shards of two columns.
-_TENX_STREAM = (30 * DAY, 10 * 25_000_000.0 / (30 * DAY / HOUR))
-_TENX_SHARD_ROWS = 5_000_000
-_TENX_COLUMNS = ("submit_time", "duration")
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
-def _bench_shard_rows(rows: int) -> int:
-    """Spill size: production shards, but at least a four-shard fold so
-    the small CI scale still exercises multi-shard merging."""
-    return min(_SHARD_ROWS_DEFAULT, max(1, -(-rows // 4)))
+def _pin_malloc() -> None:
+    """Fix glibc's malloc thresholds for the rest of the process.
+
+    glibc raises its mmap threshold each time a large mmapped block is
+    freed, and trims the heap past twice that threshold. So whether a
+    kernel's temporaries arrive page-faulted from a fresh mmap or warm
+    from the heap depends on what the process freed before: on a
+    2-vCPU host, small-scale ``series_extraction`` read 4.6-5.2x as
+    the first entry of a process and 3.3-5.2x after other entries had
+    run. Pinned where glibc's own adjustment ends on 64-bit (a 32 MiB
+    mmap threshold, trimming past 64 MiB), every entry is timed in one
+    allocator state wherever it runs. Without ``mallopt`` this does
+    nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _peak_rss_kb() -> int:
@@ -313,6 +273,7 @@ def _synthetic_usage(
 def _bench_series_extraction(
     scale: str, seed: int
 ) -> tuple[dict[str, object], dict]:
+    """The entry, plus the extracted series run-length segmentation reads."""
     usage, machines = _synthetic_usage(scale, seed)
     speedup = None
     if scale in _SCALAR_SKIP_SCALES:
@@ -332,7 +293,7 @@ def _bench_series_extraction(
         tasks=len(usage),
         speedup=speedup,
     )
-    return entry, {"series": series}
+    return entry, series
 
 
 def _bench_run_length(scale: str, seed: int, series: dict) -> dict[str, object]:
@@ -353,18 +314,6 @@ def _bench_run_length(scale: str, seed: int, series: dict) -> dict[str, object]:
         tasks=rows,
         speedup=speedup,
     )
-
-
-def _bench_mass_count(scale: str, seed: int, series: dict) -> dict[str, object]:
-    def run():
-        acc = MassCountAccumulator(positive_only=True)
-        for s in series.values():
-            acc.add(s.relative("cpu"))
-        return acc.finalize()
-
-    _, wall, cpu = _timed(run)
-    rows = sum(len(s) for s in series.values())
-    return _entry("mass_count_accumulation", scale, wall, cpu, tasks=rows)
 
 
 def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
@@ -408,322 +357,34 @@ def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
     )
 
 
-def _bench_chunked_generation(scale: str, seed: int) -> dict[str, object]:
-    _n_machines, horizon, tasks_per_hour = _PIPELINES[scale]
-
-    def run():
-        total = 0
-        for chunk in iter_task_requests(
-            horizon,
-            seed=seed,
-            config=GoogleConfig(busy_window=None),
-            tasks_per_hour=tasks_per_hour,
-        ):
-            total += len(chunk)
-        return total
-
-    total, wall, cpu = _timed(run)
-    return _entry("chunked_generation", scale, wall, cpu, tasks=int(total))
-
-
-def _bench_hostload_pipeline(scale: str, seed: int) -> dict[str, object]:
-    """Streamed paper-scale host-load characterization, end to end.
-
-    Chunked generation -> random placement -> usage-grid scatter-adds
-    -> pooled run-length durations + Tables II/III stats + mass-count,
-    all without materializing the full task stream.
-    """
-    n_machines, horizon, tasks_per_hour = _PIPELINES[scale]
-
-    def run():
-        rng = np.random.default_rng(seed + 1)
-        machines = generate_machines(n_machines, rng)
-        grid = UsageGridAccumulator(
-            machines, horizon, attributes=("cpu_usage", "mem_usage")
-        )
-        mass = MassCountAccumulator(positive_only=True)
-        total = 0
-        for chunk in iter_task_requests(
-            horizon,
-            seed=seed,
-            config=GoogleConfig(busy_window=None),
-            tasks_per_hour=tasks_per_hour,
-            columns=_PIPELINE_COLUMNS,
-        ):
-            n = len(chunk)
-            total += n
-            slots = rng.integers(0, n_machines, n)
-            start = chunk["submit_time"] + rng.exponential(10.0, n)
-            grid.add_tasks(
-                slots,
-                start,
-                start + chunk["duration"],
-                cpu=chunk["cpu_request"] * chunk["cpu_utilization"],
-                mem=chunk["mem_request"] * chunk["mem_utilization"],
-                band=priority_band_array(chunk["priority"]),
-            )
-        times, values, lengths = grid.pool("cpu_usage")
-        stats = duration_stats_by_level(
-            pooled_level_durations(times, values, lengths)
-        )
-        mass.add(values)
-        return total, stats, mass.finalize()
-
-    (total, _stats, _mc), wall, cpu = _timed(run)
-    return _entry("hostload_pipeline", scale, wall, cpu, tasks=int(total))
-
-
-# -- sharded backend benches ---------------------------------------------------
-
-
-def _sharded_ecdf_kernel(shard) -> ECDFAccumulator:
-    """Map kernel: distinct-value ECDF partial of one shard."""
-    acc = ECDFAccumulator()
-    acc.add(np.asarray(shard["duration"]))
-    return acc
-
-
-def _sharded_mass_kernel(shard) -> MassCountAccumulator:
-    """Map kernel: ordered mass-count chunks of one shard."""
-    acc = MassCountAccumulator()
-    acc.add(np.asarray(shard["duration"]))
-    return acc
-
-
-def _bench_sharded_reduce(
-    scale: str, seed: int, log: Callable[[str], None]
-) -> list[dict[str, object]]:
-    """ECDF + mass-count folds over on-disk shards vs the in-memory batch.
-
-    Both sides reduce the same duration column to the same result
-    (asserted bit-identical), so the speedup column is an honest
-    backend-vs-backend measure of what the out-of-core fold costs on
-    top of one materialized array. Near 1x is the expected answer —
-    the point of the sharded path is bounded memory, not single-core
-    wall time — and entries under the 1.5x floor are exempt from the
-    retention gate.
-    """
-    rows = _SHARDED_ROWS[scale]
-    rng = np.random.default_rng(seed)
-    # Durations rounded to 0.1s: repeated values keep the merged ECDF's
-    # distinct-value folding honest (continuous draws never collide).
-    values = np.round(rng.exponential(3600.0, rows), 1)
-    tmp = Path(tempfile.mkdtemp(prefix="repro-bench-shards-"))
-    entries: list[dict[str, object]] = []
-    try:
-        sharded = write_table(
-            Table({"duration": values}),
-            tmp / "durations",
-            _bench_shard_rows(rows),
-        )
-        # Timed regions cover fold *and* finalize on the sharded side so
-        # the ratio against the one-shot batch call is like for like.
-        got_ecdf, want_ecdf, wall, cpu, speedup = _timed_pair(
-            lambda: map_reduce(sharded, _sharded_ecdf_kernel).finalize(),
-            lambda: ecdf(values),
-        )
-        if not (
-            np.array_equal(got_ecdf.values, want_ecdf.values)
-            and np.array_equal(got_ecdf.probabilities, want_ecdf.probabilities)
-        ):
-            raise AssertionError(
-                "sharded_ecdf: merged ECDF diverged from the in-memory batch"
-            )
-        entry = _entry(
-            "sharded_ecdf", scale, wall, cpu, tasks=rows, speedup=speedup
-        )
-        entries.append(entry)
-        log(f"  sharded_ecdf [{scale}] {entry['wall_s']}s "
-            f"speedup={entry['speedup']}")
-
-        got_mc, want_mc, wall, cpu, speedup = _timed_pair(
-            lambda: map_reduce(sharded, _sharded_mass_kernel).finalize(),
-            lambda: mass_count(values),
-        )
-        if (
-            got_mc.mm_distance != want_mc.mm_distance
-            or got_mc.joint_ratio != want_mc.joint_ratio
-        ):
-            raise AssertionError(
-                "sharded_masscount: merged stats diverged from the "
-                "in-memory batch"
-            )
-        entry = _entry(
-            "sharded_masscount", scale, wall, cpu,
-            tasks=rows, speedup=speedup,
-        )
-        entries.append(entry)
-        log(f"  sharded_masscount [{scale}] {entry['wall_s']}s "
-            f"speedup={entry['speedup']}")
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return entries
-
-
-def _stream_summary_kernel(shard, horizon: float) -> dict[str, object]:
-    """Map kernel for the streaming run: hourly counts + duration max."""
-    hours = HourlyCountsAccumulator(horizon)
-    hours.add(np.asarray(shard["submit_time"]))
-    duration = np.asarray(shard["duration"])
-    return {
-        "hours": hours,
-        "max_duration": float(duration.max()) if duration.size else 0.0,
-        "rows": int(duration.size),
-    }
-
-
-def _merge_stream_summary(left: dict, right: dict) -> dict:
-    left["hours"].merge(right["hours"])
-    left["max_duration"] = max(left["max_duration"], right["max_duration"])
-    left["rows"] += right["rows"]
-    return left
-
-
-def _stream_probe(
-    dest: str,
-    seed: int,
-    horizon: float,
-    tasks_per_hour: float,
-    shard_rows: int,
-) -> dict[str, float]:
-    """Spawn-isolated streaming characterization (child process body).
-
-    Spills the chunked task stream straight to two-column shards, then
-    map-reduces hourly submission counts and the duration maximum over
-    them — no step ever holds more than one generation chunk or one
-    shard. Runs in a fresh interpreter so the returned ``ru_maxrss``
-    is the pipeline's own high-water mark, not whatever the parent
-    bench process touched first; that number *is* the bounded-memory
-    claim, so it must not inherit the parent's footprint.
-    """
-    timings = Timings()
-    with timings.stage("stream"):
-        sharded = shard_task_requests(
-            Path(dest) / "trace",
-            horizon,
-            seed=seed,
-            config=GoogleConfig(busy_window=None),
-            tasks_per_hour=tasks_per_hour,
-            shard_rows=shard_rows,
-            columns=_TENX_COLUMNS,
-        )
-        summary = map_reduce(
-            sharded,
-            _stream_summary_kernel,
-            args=(horizon,),
-            merge=_merge_stream_summary,
-        )
-    if summary["rows"] != sharded.num_rows:
-        raise AssertionError("sharded_stream_10x: reduced row count mismatch")
-    stats = timings.stages["stream"]
-    return {
-        "rows": float(sharded.num_rows),
-        "shards": float(sharded.num_shards),
-        "busiest_hour": float(np.max(summary["hours"].counts())),
-        "wall_s": stats.wall_s,
-        "cpu_s": stats.cpu_s,
-        "peak_rss_kb": float(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        ),
-    }
-
-
-def _bench_sharded_stream_10x(
-    seed: int, log: Callable[[str], None]
-) -> dict[str, object]:
-    """10x-paper (250M task) out-of-core run with its own RSS bound.
-
-    The whole run executes in one spawned child so the recorded
-    ``peak_rss_kb`` is the streaming pipeline's true bound — the
-    parent's other benches materialize multi-GB tables and ``ru_maxrss``
-    never comes back down. No speedup column: there is no in-memory
-    baseline to compare against at a scale that exists to exceed RAM.
-    """
-    tmp = tempfile.mkdtemp(prefix="repro-bench-10x-")
-    horizon, tasks_per_hour = _TENX_STREAM
-    try:
-        with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-            probe = pool.submit(
-                _stream_probe, tmp, seed, horizon, tasks_per_hour,
-                _TENX_SHARD_ROWS,
-            ).result()
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    entry = _entry(
-        "sharded_stream_10x", "10x-paper",
-        probe["wall_s"], probe["cpu_s"], tasks=int(probe["rows"]),
-    )
-    entry["peak_rss_kb"] = int(probe["peak_rss_kb"])
-    log(
-        f"  sharded_stream_10x [10x-paper] {entry['wall_s']}s "
-        f"tasks={entry['tasks_per_s']}/s shards={int(probe['shards'])} "
-        f"rss={entry['peak_rss_kb']}kB"
-    )
-    return entry
-
-
 def run_benchmarks(
     scales: Sequence[str],
     seed: int = 0,
     *,
-    only: Sequence[str] | None = None,
     log: Callable[[str], None] = lambda _msg: None,
 ) -> list[dict[str, object]]:
-    """All benchmark entries for the requested scales, in order.
+    """Every family's entry for each requested scale, in order.
 
-    ``only`` restricts the run to the named benchmark families (entry
-    ``name`` values) — e.g. ``only=("sim_drain",)`` adds the paper
-    scale for the simulator without dragging in the 25M-task pipeline
-    benchmarks. None (the default) runs everything.
+    Pins the process's malloc thresholds first (:func:`_pin_malloc`).
     """
-
-    def want(name: str) -> bool:
-        return only is None or name in only
-
+    _pin_malloc()
     entries: list[dict[str, object]] = []
+
+    def add(entry: dict[str, object]) -> None:
+        entries.append(entry)
+        log(f"  {entry['name']} [{entry['scale']}] {entry['wall_s']}s "
+            f"tasks={entry['tasks_per_s']}/s speedup={entry['speedup']}")
+
     for scale in scales:
         if scale not in _KERNEL_GRIDS:
             raise KeyError(
                 f"unknown scale {scale!r}; available: {sorted(_KERNEL_GRIDS)}"
             )
-        kernel_family = (
-            "series_extraction",
-            "run_length_segmentation",
-            "mass_count_accumulation",
-        )
-        if any(want(name) for name in kernel_family):
-            entry, shared = _bench_series_extraction(scale, seed)
-            if want("series_extraction"):
-                entries.append(entry)
-                log(f"  series_extraction [{scale}] {entry['wall_s']}s "
-                    f"speedup={entry['speedup']}")
-            if want("run_length_segmentation"):
-                entry = _bench_run_length(scale, seed, shared["series"])
-                entries.append(entry)
-                log(f"  run_length_segmentation [{scale}] {entry['wall_s']}s "
-                    f"speedup={entry['speedup']}")
-            if want("mass_count_accumulation"):
-                entries.append(_bench_mass_count(scale, seed, shared["series"]))
-            del shared
-        if want("sim_drain"):
-            entry = _bench_sim_drain(scale, seed)
-            entries.append(entry)
-            log(f"  sim_drain [{scale}] {entry['wall_s']}s "
-                f"tasks={entry['tasks_per_s']}/s speedup={entry['speedup']}")
-        if want("chunked_generation"):
-            entries.append(_bench_chunked_generation(scale, seed))
-        if want("hostload_pipeline"):
-            entry = _bench_hostload_pipeline(scale, seed)
-            entries.append(entry)
-            log(f"  hostload_pipeline [{scale}] {entry['wall_s']}s "
-                f"tasks={entry['tasks_per_s']}/s rss={entry['peak_rss_kb']}kB")
-        if want("sharded_ecdf") or want("sharded_masscount"):
-            entries.extend(
-                e for e in _bench_sharded_reduce(scale, seed, log)
-                if want(e["name"])
-            )
-        if scale == "paper" and want("sharded_stream_10x"):
-            entries.append(_bench_sharded_stream_10x(seed, log))
+        entry, series = _bench_series_extraction(scale, seed)
+        add(entry)
+        add(_bench_run_length(scale, seed, series))
+        del series
+        add(_bench_sim_drain(scale, seed))
     return entries
 
 
@@ -764,8 +425,7 @@ def compare_snapshots(
         new_speed, old_speed = entry.get("speedup"), base.get("speedup")
         if new_speed is not None and old_speed is not None:
             if (
-                old_speed >= SPEEDUP_CHECK_MIN
-                and new_speed < SPEEDUP_RETENTION * old_speed
+                new_speed < SPEEDUP_RETENTION * old_speed
                 and new_speed < SPEEDUP_GRACE_FLOOR
             ):
                 problems.append(
@@ -830,16 +490,6 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--only",
-        action="append",
-        metavar="NAME",
-        default=None,
-        help=(
-            "run only the named benchmark families (repeatable), e.g. "
-            "--only sim_drain"
-        ),
-    )
-    parser.add_argument(
         "--no-write",
         action="store_true",
         help="run and diff without writing a new snapshot",
@@ -856,12 +506,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(msg, file=sys.stderr, flush=True)
 
     log(f"repro-bench: scales={scales} seed={args.seed}")
-    entries = run_benchmarks(
-        scales,
-        args.seed,
-        only=args.only,
-        log=log,
-    )
+    entries = run_benchmarks(scales, args.seed, log=log)
     snapshot = {
         "version": 1,
         "seed": args.seed,

@@ -430,8 +430,6 @@ class BackendSpec:
     #: (None disables) and extra attempts per transiently failed block.
     block_timeout: float | None = None
     block_retries: int = 2
-    #: Shard digest verification: "none", "lazy" (first read), "full".
-    verify: str = "lazy"
 
     def __post_init__(self) -> None:
         if self.name not in ("memory", "sharded"):
@@ -444,8 +442,6 @@ class BackendSpec:
             raise ValueError("block_timeout must be positive")
         if self.block_retries < 0:
             raise ValueError("block_retries must be >= 0")
-        if self.verify not in ("none", "lazy", "full"):
-            raise ValueError(f"unknown verify mode {self.verify!r}")
 
 
 #: The experiment backend; :func:`configure_backend` replaces it.
@@ -457,8 +453,7 @@ def configure_backend(spec: BackendSpec | None) -> BackendSpec:
 
     The choice lives in this module only. Forked experiment workers
     inherit it; map-reduce block workers never read it, since each
-    block gets the table root, verify mode, kernel and fault hook as
-    arguments.
+    block gets the table root, kernel and fault hook as arguments.
     """
     global _BACKEND
     _BACKEND = spec if spec is not None else BackendSpec()
@@ -762,8 +757,8 @@ def _shard_injector(kind: str):
 def _over_shards(run, table, scale, seed, kernel, args, jobs, **options):
     """One supervised ``run`` (map_reduce/map_shards) over a table's spill.
 
-    Worker count (``jobs`` overrides the backend's), per-block timeout,
-    retries and verify mode come from the active backend. Shard damage
+    Worker count (``jobs`` overrides the backend's), per-block timeout
+    and retries come from the active backend. Shard damage
     found at open or by a block heals through :func:`heal_sharded_table`,
     fault plans inject through the worker hook, and recovery counters
     land in :func:`dataset_stats`.
@@ -771,21 +766,19 @@ def _over_shards(run, table, scale, seed, kernel, args, jobs, **options):
     backend = active_backend()
     root = _table_root(table, scale, seed, backend.shard_rows)
     try:
-        shards = ShardedTable.open(root, verify=backend.verify)
+        shards = ShardedTable.open(root)
     except ShardIntegrityError as exc:
         root = heal_sharded_table(root, str(exc))
         if root is None:
             raise
-        shards = ShardedTable.open(root, verify=backend.verify)
+        shards = ShardedTable.open(root)
     return run(
         shards,
         kernel,
         args=args,
         jobs=backend.jobs if jobs is None else jobs,
         config=Policy(
-            timeout=backend.block_timeout,
-            retries=backend.block_retries,
-            verify=backend.verify,
+            timeout=backend.block_timeout, retries=backend.block_retries
         ),
         inject=_shard_injector(_TABLES[table].kind),
         heal=heal_sharded_table,

@@ -217,16 +217,6 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--verify-shards",
-        choices=("none", "lazy", "full"),
-        default="lazy",
-        help=(
-            "shard digest verification: 'lazy' checks each shard on "
-            "first read, 'full' checks everything at open, 'none' "
-            "skips digests (structural checks always run)"
-        ),
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
@@ -282,7 +272,6 @@ def _json_report(
             "shard_rows": args.shard_rows,
             "block_timeout": args.block_timeout,
             "block_retries": args.block_retries,
-            "verify": args.verify_shards,
         },
         "peak_rss_kb": int(peak_rss_kb),
         "cache": {
@@ -418,7 +407,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             jobs=args.jobs,
             block_timeout=args.block_timeout,
             block_retries=args.block_retries,
-            verify=args.verify_shards,
         )
     )
     if args.fault_plan is not None:

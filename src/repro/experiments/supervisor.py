@@ -79,8 +79,14 @@ TRANSIENT_KINDS = frozenset({"crash", "timeout", "cache-corruption"})
 BACKOFF_BASE = 0.25
 BACKOFF_CAP = 30.0
 #: What the run's block server imports before it forks a worker: every
-#: kernel's module (the registry imports them all) and the block entry.
-BLOCK_PRELOAD = ("repro.experiments.registry", "repro.core.mapreduce")
+#: kernel's module (the registry imports them all), the block entry,
+#: and the CLI, which every worker's ``prepare()`` re-imports when the
+#: main module is ``repro-run``'s console script or a wrapper script.
+BLOCK_PRELOAD = (
+    "repro.experiments.registry",
+    "repro.core.mapreduce",
+    "repro.experiments.runner",
+)
 
 
 @dataclass

@@ -29,11 +29,8 @@ from .series import (
     grouped_machine_series,
     machine_series,
 )
-from .stream import USAGE_GRID_SCHEMA, UsageGridAccumulator
 
 __all__ = [
-    "USAGE_GRID_SCHEMA",
-    "UsageGridAccumulator",
     "grouped_machine_series",
     "FEATURE_NAMES",
     "LevelDurationStats",

@@ -39,13 +39,6 @@ class TestRegressionPolicy:
         cur = _snap(_e("run_length_segmentation", speedup=6.0))
         assert compare_snapshots(base, cur) == []
 
-    def test_near_unity_baselines_not_gated(self):
-        # The sharded ECDF fold hovers near 1x; its ratio is noise,
-        # not a guarantee to protect.
-        base = _snap(_e("sharded_ecdf", speedup=1.04))
-        cur = _snap(_e("sharded_ecdf", speedup=0.7))
-        assert compare_snapshots(base, cur) == []
-
     def test_wall_check_opt_in(self):
         base = _snap(_e("hostload_pipeline", wall=1.0))
         cur = _snap(_e("hostload_pipeline", wall=1.5))
@@ -98,39 +91,19 @@ class TestCli:
         snap_path = out / "BENCH_3.json"
         assert snap_path.exists()
         snapshot = json.loads(snap_path.read_text())
-        names = {e["name"] for e in snapshot["entries"]}
-        assert names == {
+        names = [e["name"] for e in snapshot["entries"]]
+        assert names == [
             "series_extraction",
             "run_length_segmentation",
-            "mass_count_accumulation",
             "sim_drain",
-            "chunked_generation",
-            "hostload_pipeline",
-            "sharded_ecdf",
-            "sharded_masscount",
-        }
+        ]
         for entry in snapshot["entries"]:
             assert entry["wall_s"] >= 0
             assert entry["peak_rss_kb"] > 0
+            assert entry["speedup"] is not None  # the oracle ran too
         # A second run diffs against the first and numbers itself 4.
         assert main(["--scale", "small", "--out", str(out), "--check"]) == 0
         assert (out / "BENCH_4.json").exists()
-
-    def test_only_filter_restricts_families(self, tmp_path):
-        out = tmp_path / "snaps"
-        code = main(
-            [
-                "--scale", "small",
-                "--only", "sim_drain",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        snapshot = json.loads((out / "BENCH_3.json").read_text())
-        names = {e["name"] for e in snapshot["entries"]}
-        assert names == {"sim_drain"}
-        (entry,) = snapshot["entries"]
-        assert entry["speedup"] is not None  # scalar golden ran too
 
     def test_unknown_scale_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -420,8 +420,6 @@ class TestSupervision:
             Policy(timeout=0.0)
         with pytest.raises(ValueError):
             Policy(retries=-1)
-        with pytest.raises(ValueError):
-            Policy(verify="paranoid")
 
     def test_hung_block_finished_by_straggler_duplicate(
         self, tmp_path, monkeypatch
@@ -665,6 +663,32 @@ class TestWorkerStart:
         assert proc.returncode == 0, proc.stderr
         assert "Fig. 4" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr, proc.stderr
+
+    def test_run_server_preloads_the_cli_imports(self):
+        # Under ``repro-run`` or a wrapper script the main module imports
+        # the CLI, and every block worker re-runs it in ``prepare()``:
+        # whatever the run's server lacks, each worker imports itself.
+        from repro.experiments.supervisor import BLOCK_PRELOAD
+
+        def loaded(imports):
+            code = (
+                f"import sys; {imports}; "
+                "print(*(m for m in sys.modules if m.startswith('repro')))"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env=_env(),
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return set(proc.stdout.split())
+
+        cli = loaded("import repro.experiments.runner")
+        preloaded = loaded("; ".join(f"import {m}" for m in BLOCK_PRELOAD))
+        missing = sorted(cli - preloaded)
+        assert not missing, missing
 
 
 # -- one server per run: forked launchers share it, blocks die with them ------
