@@ -1,19 +1,10 @@
 """reprolint — static analysis enforcing the reproduction's invariants.
 
 A small checker framework (registry, per-file AST walking, structured
-diagnostics, per-line suppressions, text/JSON reporters) plus five
-built-in rules:
-
-========  ====================  ==================================================
-rule id   name                  protects
-========  ====================  ==================================================
-REP101    rng-discipline        seeded determinism of every statistic
-REP201    schema-contract       ``table["column"]`` names a declared column
-REP301    layering              the core->traces->synth/hostload->sim->
-                                experiments DAG stays acyclic
-REP401    registry-completeness every experiment is runnable and referenced
-REP501    wall-clock-ban        outputs depend on (inputs, seed), not on "now"
-========  ====================  ==================================================
+diagnostics, per-line suppressions, text/JSON/SARIF reporters) plus the
+built-in rules in :mod:`repro.analysis.checkers`; ``repro-lint
+--list-rules`` lists them and ``repro-lint --explain RULE`` documents
+one.
 
 Run via the ``repro-lint`` console script or programmatically through
 :func:`lint_paths`.

@@ -38,6 +38,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from .graph import ImportMap
+
 # Content states for path-like values.
 UNKNOWN = "unknown"
 WRITTEN = "written"
@@ -555,7 +557,7 @@ class _FunctionInterp:
     # -- expression evaluation ---------------------------------------------
 
     def _resolve(self, func) -> str | None:
-        dotted = self.import_map.resolve(func) if self.import_map else None
+        dotted = self.import_map.resolve(func)
         if dotted:
             return dotted
         if isinstance(func, ast.Name):
@@ -1211,11 +1213,10 @@ def _local_defs(tree) -> set[str]:
     }
 
 
-def summarize_lifecycle(tree, module: str | None, is_package: bool) -> ModuleLifecycle:
+def summarize_lifecycle(
+    tree, module: str | None, import_map: ImportMap
+) -> ModuleLifecycle:
     """Build the picklable lifecycle summary for one module."""
-    from .checkers._util import build_import_map
-
-    import_map = build_import_map(tree, module, is_package) if module else None
     local = _local_defs(tree)
     functions = []
     for name, node in _iter_functions(tree):
@@ -1238,7 +1239,7 @@ def summarize_lifecycle(tree, module: str | None, is_package: bool) -> ModuleLif
 def analyze_module(
     tree,
     module: str | None,
-    is_package: bool,
+    import_map: ImportMap,
     *,
     callee_info,
     incoming,
@@ -1249,9 +1250,6 @@ def analyze_module(
     project-resolvable callee or ``None``; ``incoming`` maps local
     function names to per-param incoming resource states.
     """
-    from .checkers._util import build_import_map
-
-    import_map = build_import_map(tree, module, is_package) if module else None
     local = _local_defs(tree)
     findings: list[Finding] = []
     for name, node in _iter_functions(tree):
@@ -1276,24 +1274,15 @@ def analyze_module(
 
 def file_report(ctx) -> tuple[Finding, ...]:
     """Cached per-file driver shared by the REP801/802/803 checkers."""
-    cached = getattr(ctx, "_lifecycle_report", None)
-    if cached is not None:
-        return cached
-    graph = ctx.graph
-    if graph is None or ctx.module is None:
-        report: tuple[Finding, ...] = ()
-    else:
-        report = analyze_module(
+    report = getattr(ctx, "_lifecycle_report", None)
+    if report is None:
+        report = ctx._lifecycle_report = analyze_module(
             ctx.tree,
             ctx.module,
-            ctx.is_package,
-            callee_info=graph.lifecycle_callee_info,
-            incoming=graph.lifecycle_incoming_for_module(ctx.module),
+            ImportMap(ctx.summary.exports),
+            callee_info=ctx.graph.lifecycle_callee_info,
+            incoming=ctx.graph.lifecycle_incoming_for_module(ctx.module),
         )
-    try:
-        ctx._lifecycle_report = report
-    except AttributeError:  # pragma: no cover - frozen context
-        pass
     return report
 
 

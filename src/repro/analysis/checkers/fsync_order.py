@@ -56,10 +56,8 @@ def publish(tmp, dest):
     )
 )
 class FsyncOrderChecker:
-    requires_graph = True
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.is_test or ctx.graph is None or ctx.module is None:
+        if ctx.is_test or ctx.module is None:
             return
         if not cfg.in_durable_scope(ctx.module, ctx.config.durable_roots):
             return

@@ -10,13 +10,11 @@ import cycles. Ranks come from ``[tool.reprolint.layers]``.
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterator
 
 from ..diagnostics import Diagnostic
 from ..engine import FileContext
 from ..registry import Rule, register
-from ._util import resolve_from_module
 
 
 @register(
@@ -41,24 +39,13 @@ class LayeringChecker:
         if own_rank is None:
             return
 
-        for node in ast.walk(ctx.tree):
-            targets: list[tuple[str, int, int]] = []
-            if isinstance(node, ast.Import):
-                targets = [
-                    (alias.name, node.lineno, node.col_offset)
-                    for alias in node.names
-                ]
-            elif isinstance(node, ast.ImportFrom):
-                base = resolve_from_module(node, ctx.module, ctx.is_package)
-                if base == package:
-                    # ``from repro import sim`` imports layer modules by name.
-                    targets = [
-                        (f"{package}.{alias.name}", node.lineno, node.col_offset)
-                        for alias in node.names
-                    ]
-                else:
-                    targets = [(base, node.lineno, node.col_offset)]
-            for target, line, col in targets:
+        for site in ctx.summary.import_sites:
+            if site.module == package:
+                # ``from repro import sim`` imports layer modules by name.
+                targets = [f"{package}.{name}" for name in site.names]
+            else:
+                targets = [site.module]
+            for target in targets:
                 parts = target.split(".")
                 if parts[0] != package or len(parts) < 2:
                     continue
@@ -74,8 +61,8 @@ class LayeringChecker:
                     )
                     yield Diagnostic(
                         path=ctx.relpath,
-                        line=line,
-                        col=col,
+                        line=site.line,
+                        col=site.col,
                         rule_id=self.rule.id,
                         message=(
                             f"layer '{own_layer}' (rank {own_rank}) must not "

@@ -53,10 +53,8 @@ def claim(lock_path):
     )
 )
 class ResourceLifecycleChecker:
-    requires_graph = True
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.is_test or ctx.graph is None or ctx.module is None:
+        if ctx.is_test or ctx.module is None:
             return
         for finding in cfg.file_report(ctx):
             if finding.rule != self.rule.id:

@@ -66,15 +66,11 @@ _SINK_DESC = {
     )
 )
 class OrderedSinkChecker:
-    requires_graph = True
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.is_test or ctx.graph is None or ctx.module is None:
+        if ctx.is_test or ctx.module is None:
             return
         graph = ctx.graph
-        summary = graph.modules.get(ctx.module)
-        if summary is None:
-            return
+        summary = ctx.summary
         sites = [
             (fn.qualname, eff)
             for fn in summary.functions.values()

@@ -84,15 +84,10 @@ _HINTS = {
     )
 )
 class PickleBoundaryChecker:
-    requires_graph = True
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.is_test or ctx.graph is None or ctx.module is None:
+        if ctx.is_test or ctx.module is None:
             return
-        summary = ctx.graph.modules.get(ctx.module)
-        if summary is None:
-            return
-        for site in summary.boundaries:
+        for site in ctx.summary.boundaries:
             where = _BOUNDARY_DESC.get(site.kind, site.kind)
             for val in site.values:
                 desc = _KIND_DESC.get(val.kind)

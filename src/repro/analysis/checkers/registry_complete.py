@@ -16,6 +16,7 @@ from pathlib import PurePosixPath
 
 from ..diagnostics import Diagnostic
 from ..engine import FileContext
+from ..graph import resolve_from_module
 from ..registry import Rule, register
 
 
@@ -44,15 +45,13 @@ class RegistryCompletenessChecker:
             if path.stem not in exempt
         }
 
+        # ``from . import fig2, ...``: the registry's own package.
+        package = resolve_from_module(1, None, ctx.module, is_package=False)
         imported: dict[str, int] = {}
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.level == 1
-                and not node.module
-            ):
-                for alias in node.names:
-                    imported[alias.name] = node.lineno
+        for site in ctx.summary.import_sites:
+            if site.level == 1 and site.module == package:
+                for name in site.names:
+                    imported[name] = site.line
 
         for module in sorted(module_names - set(imported)):
             yield Diagnostic(

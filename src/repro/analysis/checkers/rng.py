@@ -20,8 +20,8 @@ from collections.abc import Iterator
 
 from ..diagnostics import Diagnostic
 from ..engine import FileContext
+from ..graph import ImportMap
 from ..registry import Rule, register
-from ._util import build_import_map
 
 #: numpy.random attributes that are seed-respecting construction APIs,
 #: types, or annotations — everything else is legacy global-state API.
@@ -55,12 +55,33 @@ class RngDisciplineChecker:
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.is_test:
             return
-        imports = build_import_map(ctx.tree, ctx.module, ctx.is_package)
-
+        for site in ctx.summary.import_sites:
+            if site.names:
+                # ``from random import a, b``: one finding per name.
+                offenders = (
+                    len(site.names)
+                    if site.level == 0 and site.module == "random"
+                    else 0
+                )
+            else:
+                offenders = int(
+                    site.module == "random" or site.module.startswith("random.")
+                )
+            for _ in range(offenders):
+                yield Diagnostic(
+                    path=ctx.relpath,
+                    line=site.line,
+                    col=site.col,
+                    rule_id=self.rule.id,
+                    message=(
+                        "the stdlib random module keeps global state and is "
+                        "banned in reproduction code"
+                    ),
+                    hint="use a passed numpy.random.Generator instead",
+                )
+        imports = ImportMap(ctx.summary.exports)
         for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield from self._check_import(ctx, node)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 qual = imports.resolve(node)
                 if (
                     qual
@@ -100,29 +121,3 @@ class RngDisciplineChecker:
                         ),
                         hint="pass a seed or an existing Generator/SeedSequence",
                     )
-
-    def _check_import(
-        self, ctx: FileContext, node: ast.Import | ast.ImportFrom
-    ) -> Iterator[Diagnostic]:
-        if isinstance(node, ast.Import):
-            offenders = [
-                alias
-                for alias in node.names
-                if alias.name == "random" or alias.name.startswith("random.")
-            ]
-        else:
-            offenders = list(node.names) if (
-                node.level == 0 and node.module == "random"
-            ) else []
-        for alias in offenders:
-            yield Diagnostic(
-                path=ctx.relpath,
-                line=node.lineno,
-                col=node.col_offset,
-                rule_id=self.rule.id,
-                message=(
-                    "the stdlib random module keeps global state and is "
-                    "banned in reproduction code"
-                ),
-                hint="use a passed numpy.random.Generator instead",
-            )

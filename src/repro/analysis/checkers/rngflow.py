@@ -74,26 +74,20 @@ _WHAT = {
     )
 )
 class RngProvenanceChecker:
-    requires_graph = True
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.is_test or ctx.graph is None or ctx.module is None:
+        if ctx.is_test or ctx.module is None:
             return
         package = ctx.config.package
         if not ctx.module.startswith(package + "."):
             return
         layer = ctx.module.split(".")[1]
         in_scope = layer in ctx.config.rng_scope
-        summary = ctx.graph.modules.get(ctx.module)
-        if summary is None:
-            return
-
         if in_scope:
-            yield from self._constructions(ctx, summary)
-        yield from self._call_sites(ctx, summary, in_scope)
+            yield from self._constructions(ctx)
+        yield from self._call_sites(ctx, in_scope)
 
-    def _constructions(self, ctx: FileContext, summary) -> Iterator[Diagnostic]:
-        for con in summary.constructions:
+    def _constructions(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        for con in ctx.summary.constructions:
             if con.prov not in (LITERAL, ADHOC, UNSEEDED):
                 continue
             if con.prov == UNSEEDED and con.factory == "default_rng":
@@ -113,11 +107,11 @@ class RngProvenanceChecker:
             )
 
     def _call_sites(
-        self, ctx: FileContext, summary, in_scope: bool
+        self, ctx: FileContext, in_scope: bool
     ) -> Iterator[Diagnostic]:
         graph = ctx.graph
         scope = ctx.config.rng_scope
-        for call in summary.calls:
+        for call in ctx.summary.calls:
             target = graph.resolve_function(call.callee)
             if target is None:
                 continue

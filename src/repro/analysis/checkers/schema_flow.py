@@ -45,18 +45,13 @@ from ..registry import Rule, register
     )
 )
 class SchemaFlowChecker:
-    requires_graph = True
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.graph is None or ctx.module is None:
-            return
-        summary = ctx.graph.modules.get(ctx.module)
-        if summary is None:
+        if ctx.module is None:
             return
         global_columns = set(ctx.project.table_columns) | set(
             ctx.config.extra_table_columns
         )
-        for fn in summary.functions.values():
+        for fn in ctx.summary.functions.values():
             for param in fn.table_params:
                 inferred = ctx.graph.inferred_schema(fn.qualname, param)
                 if inferred is None or not inferred.complete:

@@ -15,8 +15,8 @@ from collections.abc import Iterator
 
 from ..diagnostics import Diagnostic
 from ..engine import FileContext
+from ..graph import ImportMap
 from ..registry import Rule, register
-from ._util import build_import_map
 
 _BANNED = {
     "time.time": "use the simulation/event clock, not the host clock",
@@ -43,7 +43,7 @@ class WallClockChecker:
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.is_test:
             return
-        imports = build_import_map(ctx.tree, ctx.module, ctx.is_package)
+        imports = ImportMap(ctx.summary.exports)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue

@@ -58,19 +58,14 @@ def run_shard(shard):          # shipped: pool.submit(run_shard, shard)
     )
 )
 class WorkerPurityChecker:
-    requires_graph = True
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.is_test or ctx.graph is None or ctx.module is None:
+        if ctx.is_test or ctx.module is None:
             return
         graph = ctx.graph
         config = ctx.config
         exempt = ctx.module in config.worker_state_modules
-        summary = graph.modules.get(ctx.module)
-        if summary is None:
-            return
         reach = graph.worker_reachability(config.worker_roots)
-        for fn in summary.functions.values():
+        for fn in ctx.summary.functions.values():
             verdict = reach.get(fn.qualname)
             if verdict is None:
                 continue

@@ -49,10 +49,6 @@ from .registry import Checker, all_checkers
 
 __all__ = ["FileContext", "lint_paths", "LintRun", "SuppressionSpec"]
 
-#: Path fragments that mark a file as test/benchmark code; RNG and
-#: wall-clock rules do not apply there.
-_TEST_MARKERS = ("tests/", "benchmarks/", "conftest", "test_")
-
 
 @dataclass
 class FileContext:
@@ -63,12 +59,13 @@ class FileContext:
     source: str
     tree: ast.Module
     project: ProjectContext
+    #: This file's summary; rules read its import sites and alias map
+    #: instead of the file's import statements.
+    summary: ModuleSummary
+    #: Whole-program graph over every linted file's summary.
+    graph: ProjectGraph
     module: str | None = None  # dotted module name, when resolvable
-    is_package: bool = False  # true for package __init__ files
     is_test: bool = False
-    #: Whole-program graph; present whenever the engine built one
-    #: (checkers with ``requires_graph`` read it).
-    graph: ProjectGraph | None = None
 
     @property
     def config(self) -> LintConfig:
@@ -244,7 +241,6 @@ class _FileInfo:
     source: str
     src_hash: str
     module: str | None
-    is_package: bool
     is_test: bool
 
 
@@ -350,10 +346,10 @@ def _analyze_file(
         source=info.source,
         tree=tree,
         project=project,
-        module=info.module,
-        is_package=info.is_package,
-        is_test=info.is_test,
+        summary=graph.files[info.relpath],
         graph=graph,
+        module=info.module,
+        is_test=info.is_test,
     )
     after_all: Checker | None = None
     for checker in active:
@@ -559,7 +555,6 @@ def lint_paths(
                 source=source,
                 src_hash=hashlib.sha256(raw).hexdigest(),
                 module=_module_name(relpath, config),
-                is_package=PurePosixPath(relpath).name == "__init__.py",
                 is_test=_is_test_path(relpath),
             )
         )

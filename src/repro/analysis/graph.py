@@ -55,8 +55,11 @@ __all__ = [
     "ShippedValue",
     "BoundarySite",
     "FunctionSummary",
+    "ImportMap",
+    "ImportSite",
     "ModuleSummary",
     "ProjectGraph",
+    "resolve_from_module",
     "summarize_module",
     "build_project_graph",
 ]
@@ -294,6 +297,24 @@ class FunctionSummary:
     returns_unordered: bool = False
 
 
+@dataclass(frozen=True)
+class ImportSite:
+    """One imported module: an ``import`` alias or a ``from`` statement.
+
+    ``module`` is absolute: a relative ``from`` is resolved against the
+    importing file's module (or keeps its leading dots when that module
+    is unknown). ``names`` are what a ``from`` statement imports, ``*``
+    included; a plain ``import module`` has none. ``level`` is the
+    statement's relative level, 0 for an absolute import.
+    """
+
+    module: str
+    names: tuple[str, ...]
+    level: int
+    line: int
+    col: int
+
+
 @dataclass
 class ModuleSummary:
     """Per-file facts; picklable, cached by content hash."""
@@ -305,6 +326,10 @@ class ModuleSummary:
     #: Local name -> qualified name, from import statements (for
     #: ``__init__`` files this is the re-export map).
     exports: dict[str, str] = field(default_factory=dict)
+    #: One site per imported module (each alias of an ``import``, each
+    #: ``from`` statement), in ``ast.walk`` order; the rules read these
+    #: instead of the file's import statements.
+    import_sites: tuple[ImportSite, ...] = ()
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     constructions: tuple[RngConstruction, ...] = ()
     calls: tuple[CallSite, ...] = ()
@@ -317,6 +342,90 @@ class ModuleSummary:
     lifecycle: object | None = None
     parse_error: str | None = None
     parse_error_line: int = 1
+
+
+# -- imports ------------------------------------------------------------------
+
+
+class ImportMap:
+    """Maps local names to the fully-qualified names they were imported as.
+
+    Only names introduced by imports resolve; plain local variables do
+    not, which keeps resolution conservative (no false positives from a
+    local variable that happens to be called ``time``).
+    """
+
+    def __init__(self, aliases: dict[str, str]) -> None:
+        self.aliases = aliases
+
+    def resolve(self, node: ast.expr) -> str | None:
+        """Fully-qualified dotted name of an expression, if import-rooted."""
+        if isinstance(node, ast.Name):
+            return self.aliases.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = self.resolve(node.value)
+            if base is None:
+                return None
+            return f"{base}.{node.attr}"
+        return None
+
+
+def resolve_from_module(
+    level: int, name: str | None, module: str | None, is_package: bool
+) -> str:
+    """Absolute module of ``from <level dots><name> import ...`` in ``module``."""
+    if level == 0:
+        return name or ""
+    if module is None:
+        return "." * level + (name or "")
+    # Level 1 anchors at the containing package; each further level goes
+    # one package up. A package's ``__init__`` is its own anchor.
+    parts = module.split(".") if is_package else module.split(".")[:-1]
+    ascend = level - 1
+    anchor = parts[: len(parts) - ascend] if ascend else parts
+    if name:
+        anchor = anchor + [name]
+    return ".".join(anchor)
+
+
+def _read_imports(
+    tree: ast.Module, module: str | None, is_package: bool
+) -> tuple[dict[str, str], tuple[ImportSite, ...]]:
+    """The one read of a file's import statements: its alias map and
+    one :class:`ImportSite` per imported module."""
+    aliases: dict[str, str] = {}
+    sites: list[ImportSite] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    # ``import a.b.c`` binds the top-level name ``a``.
+                    top = alias.name.split(".")[0]
+                    aliases[top] = top
+                sites.append(
+                    ImportSite(alias.name, (), 0, node.lineno, node.col_offset)
+                )
+        elif isinstance(node, ast.ImportFrom):
+            base = resolve_from_module(
+                node.level, node.module, module, is_package
+            )
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                aliases[local] = f"{base}.{alias.name}" if base else alias.name
+            sites.append(
+                ImportSite(
+                    base,
+                    tuple(alias.name for alias in node.names),
+                    node.level,
+                    node.lineno,
+                    node.col_offset,
+                )
+            )
+    return aliases, tuple(sites)
 
 
 # -- per-file summarization ---------------------------------------------------
@@ -729,16 +838,15 @@ class _ModuleSummarizer:
         self, tree: ast.Module, module: str | None, relpath: str, package: str,
         is_package: bool,
     ) -> None:
-        # Imported lazily: the checkers package pulls in the engine,
-        # which imports this module at its own top level.
-        from .checkers._util import build_import_map
-
         self.tree = tree
         self.module = module
         self.relpath = relpath
         self.package = package
-        self.import_map = build_import_map(tree, module, is_package)
-        self.summary = ModuleSummary(module=module, relpath=relpath)
+        aliases, sites = _read_imports(tree, module, is_package)
+        self.import_map = ImportMap(aliases)
+        self.summary = ModuleSummary(
+            module=module, relpath=relpath, exports=aliases, import_sites=sites
+        )
         self._constructions: list[RngConstruction] = []
         self._calls: list[CallSite] = []
         self._boundaries: list[BoundarySite] = []
@@ -880,25 +988,13 @@ class _ModuleSummarizer:
 
     def run(self) -> ModuleSummary:
         summary = self.summary
-        summary.exports = dict(self.import_map.aliases)
         prefix = self.package + "."
         internal: list[str] = []
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == self.package or alias.name.startswith(prefix):
-                        internal.append(alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                from .checkers._util import resolve_from_module
-
-                base = resolve_from_module(
-                    node, self.module, self.relpath.endswith("__init__.py")
-                )
-                if base == self.package or base.startswith(prefix):
-                    internal.append(base)
-                    # ``from repro.x import y`` may import module y itself.
-                    for alias in node.names:
-                        internal.append(f"{base}.{alias.name}")
+        for site in summary.import_sites:
+            if site.module == self.package or site.module.startswith(prefix):
+                internal.append(site.module)
+                # ``from repro.x import y`` may import module y itself.
+                internal.extend(f"{site.module}.{name}" for name in site.names)
         summary.imports = tuple(dict.fromkeys(internal))
 
         # Module-level statements run in an anonymous scope.
@@ -1375,18 +1471,17 @@ def summarize_module(
             parse_error=exc.msg or str(exc),
             parse_error_line=exc.lineno or 1,
         )
-    summary = _ModuleSummarizer(
+    summarizer = _ModuleSummarizer(
         tree,
         module,
         relpath,
         package,
         is_package=relpath.endswith("__init__.py"),
-    ).run()
+    )
+    summary = summarizer.run()
     from .cfg import summarize_lifecycle
 
-    summary.lifecycle = summarize_lifecycle(
-        tree, module, relpath.endswith("__init__.py")
-    )
+    summary.lifecycle = summarize_lifecycle(tree, module, summarizer.import_map)
     return summary
 
 

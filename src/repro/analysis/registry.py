@@ -15,7 +15,6 @@ __all__ = [
     "Checker",
     "register",
     "all_checkers",
-    "get_rule",
     "iter_rules",
 ]
 
@@ -60,12 +59,6 @@ def all_checkers() -> list[Checker]:
     from . import checkers as _checkers  # noqa: F401  (triggers registration)
 
     return [_CHECKERS[rule_id]() for rule_id in sorted(_CHECKERS)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    from . import checkers as _checkers  # noqa: F401
-
-    return _CHECKERS[rule_id].rule
 
 
 def iter_rules() -> Iterable[Rule]:

@@ -251,24 +251,16 @@ def default_cache_dir() -> Path:
     return base / "repro" / "datasets"
 
 
-def configure_cache(
-    cache_dir: str | Path | None,
-    *,
-    max_bytes: int | None = 4 * 1024**3,
-    max_entries: int | None = 64,
-) -> DiskCache | None:
+def configure_cache(cache_dir: str | Path | None) -> DiskCache | None:
     """Point the dataset builders at an on-disk cache (None disables).
 
-    Also clears the in-process memos so the new cache takes effect for
-    subsequent calls.
+    The cache keeps :class:`DiskCache`'s default budgets. Also clears
+    the in-process memos so the new cache takes effect for subsequent
+    calls.
     """
     global _CACHE, _CACHE_CONFIGURED
     _CACHE_CONFIGURED = True
-    _CACHE = (
-        None
-        if cache_dir is None
-        else DiskCache(cache_dir, max_bytes=max_bytes, max_entries=max_entries)
-    )
+    _CACHE = None if cache_dir is None else DiskCache(cache_dir)
     workload_dataset.cache_clear()
     simulation_dataset.cache_clear()
     fleet_series.cache_clear()

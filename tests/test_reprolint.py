@@ -99,11 +99,21 @@ class TestRngDiscipline:
             def f():
                 rng = np.random.default_rng()
                 return random.random(), rng
+
+            def g():
+                import random as r
+                from random import choice
+                return r.random(), choice([1])
             """,
         )
         run = project.lint()
         assert "REP101" in rules_at(run, "src/repro/core/m.py", 1)
         assert "REP101" in rules_at(run, "src/repro/core/m.py", 5)
+        # Imports inside a function body (the lazy-import idiom), an
+        # aliased import and a from-import are each one finding.
+        assert [
+            d.line for d in run.all_diagnostics if d.rule_id == "REP101"
+        ] == [1, 5, 9, 10]
 
     def test_passed_generator_is_clean(self, project):
         project.write(
@@ -211,15 +221,21 @@ class TestSchemaContract:
 
 class TestLayering:
     def test_upward_import_flagged(self, project):
-        project.write(
-            "src/repro/core/m.py", "from ..sim.engine import Engine\n"
-        )
-        run = project.lint()
-        diags = [d for d in run.all_diagnostics if d.rule_id == "REP301"]
-        assert len(diags) == 1
-        assert diags[0].path == "src/repro/core/m.py"
-        assert diags[0].line == 1
-        assert "'sim'" in diags[0].message
+        cases = {
+            "from ..sim.engine import Engine\n": 1,
+            # The lazy-import idiom: an import inside a function body.
+            "def f():\n    from ..sim.engine import Engine\n": 2,
+            # ``from repro import sim`` imports the layer module by name.
+            "from repro import sim\n": 1,
+        }
+        for source, line in cases.items():
+            project.write("src/repro/core/m.py", source)
+            run = project.lint()
+            diags = [d for d in run.all_diagnostics if d.rule_id == "REP301"]
+            assert len(diags) == 1, source
+            assert diags[0].path == "src/repro/core/m.py"
+            assert diags[0].line == line
+            assert "'sim'" in diags[0].message
 
     def test_sibling_layer_flagged(self, project):
         project.write(

@@ -575,16 +575,32 @@ def base_value():
 """
 
 MID = """\
+import random
+import time
+
+import numpy as np
+
 from ..core.base import base_value
+from ..sim.engine import Engine
 
 def mid_value():
+    np.random.rand(2)
+    time.time()
     return base_value() + 1
 """
 
 TOP = """\
+import random
+import time
+
+import numpy as np
+
 from ..core.mid import mid_value
+from ..experiments.run import main
 
 def top_value():
+    np.random.rand(2)
+    time.time()
     return mid_value() + 1
 """
 
@@ -625,6 +641,17 @@ class TestIncrementalCache:
         # contain it; other.py and the rest stay cached.
         assert run.files_analyzed == 3
         assert run.files_cached == cold.files_checked - 3
+        # mid.py and top.py are re-analyzed from their cached summaries,
+        # so REP101, REP301 and REP501 read import sites that went
+        # through the disk cache: a stdlib random import, a legacy
+        # np.random call, an upward import and a wall-clock read each.
+        for relpath in ("src/repro/core/mid.py", "src/repro/synth/top.py"):
+            assert sorted(
+                d.rule_id for d in cold.all_diagnostics if d.path == relpath
+            ) == ["REP101", "REP101", "REP301", "REP501"]
+        assert [d.to_dict() for d in run.all_diagnostics] == [
+            d.to_dict() for d in cold.all_diagnostics
+        ]
 
     def test_caller_edit_rekeys_callee_diagnostics(self, project, tmp_path):
         project.write(
