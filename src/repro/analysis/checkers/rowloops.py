@@ -129,7 +129,7 @@ class RowLoopChecker:
             ),
             hint=(
                 "use repro.core.kernels (grouped_sort_split, "
-                "run_length_encode, ...) or suppress if this is an "
+                "pooled_level_durations, ...) or suppress if this is an "
                 "intentional scalar golden reference"
             ),
         )

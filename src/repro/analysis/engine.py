@@ -308,7 +308,7 @@ def _diagnostics_key(
             )
         )
     return LintCache.diagnostics_key(
-        config_fp, facts_fp, info.src_hash, closure, flow
+        config_fp, facts_fp, info.relpath, info.src_hash, closure, flow
     )
 
 
@@ -434,7 +434,7 @@ def _load_summaries(
     keys: dict[str, str] = {}
     for info in infos:
         if cache is not None:
-            key = LintCache.summary_key(config_fp, info.src_hash)
+            key = LintCache.summary_key(config_fp, info.relpath, info.src_hash)
             keys[info.relpath] = key
             hit = cache.get(key)
             if isinstance(hit, ModuleSummary):

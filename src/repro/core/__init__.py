@@ -37,10 +37,8 @@ from .fairness import (
 )
 from .kernels import (
     MassCountAccumulator,
-    RunLengths,
     grouped_sort_split,
     pooled_level_durations,
-    run_length_encode,
 )
 from .masscount import MassCount, joint_ratio_label, mass_count
 from .noise import autocorrelation, mean_filter, noise_series, noise_stats
@@ -70,10 +68,8 @@ from .usage import cpu_usage_eq4, memory_usage_mb
 __all__ = [
     "BoundedPareto",
     "MassCountAccumulator",
-    "RunLengths",
     "grouped_sort_split",
     "pooled_level_durations",
-    "run_length_encode",
     "CANDIDATE_FAMILIES",
     "CacheStats",
     "CloudGridComparison",

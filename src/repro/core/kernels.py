@@ -4,7 +4,6 @@ The paper-scale trace (25M tasks, >12.5k machines, a month of 5-minute
 samples) turns every per-machine Python loop into a bottleneck. This
 module collects the hot inner passes as single-sweep NumPy kernels:
 
-* :func:`run_length_encode` — maximal constant runs of a code array.
 * :func:`pooled_level_durations` — run-length segmentation of *many*
   concatenated series in one pass (replaces the per-machine loop over
   :func:`repro.core.segments.level_durations`).
@@ -22,8 +21,6 @@ kept (as golden references) next to their call sites and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ecdf import ECDF
@@ -32,79 +29,11 @@ from .segments import DEFAULT_USAGE_LEVELS, discretize
 from .table import Table
 
 __all__ = [
-    "RunLengths",
-    "run_length_encode",
-    "merge_run_lengths",
     "pooled_level_durations",
     "grouped_sort_split",
     "MassCountAccumulator",
     "ECDFAccumulator",
 ]
-
-
-@dataclass(frozen=True)
-class RunLengths:
-    """Maximal constant runs of a 1-D code array.
-
-    ``values[i]`` repeats ``lengths[i]`` times starting at ``starts[i]``;
-    concatenating the runs reconstructs the input exactly.
-    """
-
-    starts: np.ndarray
-    lengths: np.ndarray
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-
-def run_length_encode(codes: np.ndarray) -> RunLengths:
-    """``np.diff``-based run-length encoding of a 1-D array."""
-    codes = np.asarray(codes)
-    if codes.ndim != 1:
-        raise ValueError(f"codes must be 1-D, got ndim={codes.ndim}")
-    if codes.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return RunLengths(starts=empty, lengths=empty.copy(), values=codes[:0])
-    change = np.flatnonzero(codes[1:] != codes[:-1]) + 1
-    starts = np.concatenate(([0], change)).astype(np.int64)
-    ends = np.concatenate((change, [codes.size])).astype(np.int64)
-    return RunLengths(starts=starts, lengths=ends - starts, values=codes[starts])
-
-
-def merge_run_lengths(left: RunLengths, right: RunLengths) -> RunLengths:
-    """Stitch the run encodings of two *adjacent* chunks.
-
-    ``left`` encodes ``codes[:n]`` and ``right`` encodes ``codes[n:]``
-    (each with starts relative to its own chunk); the result encodes the
-    concatenation, bit-identical to :func:`run_length_encode` on the
-    full array. When the chunks meet inside one run — ``left`` ends
-    with the value ``right`` starts with — the boundary runs fuse.
-    Associative, so any regrouping of an ordered chunk sequence folds
-    to the same encoding.
-    """
-    if len(left) == 0:
-        return right
-    if len(right) == 0:
-        return left
-    n_left = int(left.starts[-1] + left.lengths[-1])
-    if left.values[-1] == right.values[0]:
-        starts = np.concatenate((left.starts, right.starts[1:] + n_left))
-        lengths = np.concatenate(
-            (
-                left.lengths[:-1],
-                [left.lengths[-1] + right.lengths[0]],
-                right.lengths[1:],
-            )
-        ).astype(np.int64)
-        values = np.concatenate((left.values, right.values[1:]))
-    else:
-        starts = np.concatenate((left.starts, right.starts + n_left))
-        lengths = np.concatenate((left.lengths, right.lengths))
-        values = np.concatenate((left.values, right.values))
-    return RunLengths(
-        starts=starts.astype(np.int64), lengths=lengths, values=values
-    )
 
 
 def _series_tails(

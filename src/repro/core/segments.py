@@ -19,7 +19,6 @@ __all__ = [
     "discretize",
     "constant_segments",
     "level_durations",
-    "LevelRunAccumulator",
     "DEFAULT_USAGE_LEVELS",
     "QUEUE_STATE_LEVELS",
     "usage_level_labels",
@@ -146,101 +145,3 @@ def level_durations(
     segments = constant_segments(np.asarray(times, dtype=np.float64), levels)
     n_levels = len(np.asarray(edges)) - 1
     return {lvl: segments.for_level(lvl) for lvl in range(n_levels)}
-
-
-class LevelRunAccumulator:
-    """Streaming :func:`level_durations` for one chunk-fed series.
-
-    Feed consecutive time-ordered chunks of a single sampled series via
-    :meth:`add` (or stitch adjacent-chunk accumulators with
-    :meth:`merge`); :meth:`finalize` returns the per-level run
-    durations. Rather than durations, the state holds the *start* of
-    every maximal constant-level run — runs that span a chunk boundary
-    fuse by dropping the later chunk's non-boundary first start — so
-    finalization performs the same boundary ``np.diff`` on the same
-    floats as the batch path. For a series whose trailing sampling
-    interval equals ``tail`` (a fixed-period monitor: ``tail=period``),
-    the result is bit-identical to :func:`level_durations` on the full
-    series, for any chunking and any merge grouping. Memory is
-    O(level runs), independent of sample count.
-    """
-
-    def __init__(
-        self, edges: np.ndarray = DEFAULT_USAGE_LEVELS, *, tail: float
-    ) -> None:
-        self._edges = np.asarray(edges, dtype=np.float64)
-        discretize(np.empty(0), self._edges)  # validate edges up front
-        self._tail = float(tail)
-        self._run_starts: list[np.ndarray] = []
-        self._run_levels: list[np.ndarray] = []
-        self._last_level: int | None = None
-        self._last_time: float | None = None
-
-    def add(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Fold the next chunk of the series (times strictly increasing)."""
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if times.shape != values.shape or times.ndim != 1:
-            raise ValueError("times and values must be 1-D with equal shape")
-        if times.size == 0:
-            return
-        if np.any(np.diff(times) <= 0) or (
-            self._last_time is not None and times[0] <= self._last_time
-        ):
-            raise ValueError("times must be strictly increasing")
-        levels = discretize(values, self._edges)
-        change = np.flatnonzero(levels[1:] != levels[:-1]) + 1
-        starts = np.concatenate(([0], change))
-        run_starts = times[starts]
-        run_levels = levels[starts]
-        if self._last_level is not None and run_levels[0] == self._last_level:
-            # The chunk opens inside the run already in progress: its
-            # first sample is not a run boundary.
-            run_starts = run_starts[1:]
-            run_levels = run_levels[1:]
-        if run_starts.size:
-            self._run_starts.append(run_starts)
-            self._run_levels.append(run_levels)
-        self._last_level = int(levels[-1])
-        self._last_time = float(times[-1])
-
-    def merge(self, other: "LevelRunAccumulator") -> "LevelRunAccumulator":
-        """Stitch the accumulator of the adjacent later chunk range."""
-        if other._tail != self._tail or not np.array_equal(
-            other._edges, self._edges
-        ):
-            raise ValueError("cannot merge accumulators with different config")
-        if other._last_time is None:
-            return self
-        if self._last_time is not None and (
-            not other._run_starts
-            or other._run_starts[0][0] <= self._last_time
-        ):
-            raise ValueError("times must be strictly increasing")
-        starts = list(other._run_starts)
-        levels = list(other._run_levels)
-        if (
-            self._last_level is not None
-            and int(levels[0][0]) == self._last_level
-        ):
-            starts[0] = starts[0][1:]
-            levels[0] = levels[0][1:]
-            if starts[0].size == 0:
-                starts = starts[1:]
-                levels = levels[1:]
-        self._run_starts.extend(starts)
-        self._run_levels.extend(levels)
-        self._last_level = other._last_level
-        self._last_time = other._last_time
-        return self
-
-    def finalize(self) -> dict[int, np.ndarray]:
-        """Per-level run durations of everything added so far."""
-        n_levels = len(self._edges) - 1
-        if self._last_time is None:
-            return {lvl: np.empty(0) for lvl in range(n_levels)}
-        starts = np.concatenate(self._run_starts)
-        levels = np.concatenate(self._run_levels)
-        boundaries = np.concatenate((starts, [self._last_time + self._tail]))
-        durations = np.diff(boundaries)
-        return {lvl: durations[levels == lvl] for lvl in range(n_levels)}

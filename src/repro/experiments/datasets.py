@@ -449,6 +449,10 @@ def configure_backend(spec: BackendSpec | None) -> BackendSpec:
     """
     global _BACKEND
     _BACKEND = spec if spec is not None else BackendSpec()
+    if _BACKEND.name == "sharded":
+        # Made here, before any worker forks, so that every worker
+        # spills into the same place.
+        _spill_cache()
     fleet_series.cache_clear()
     return _BACKEND
 
@@ -460,17 +464,28 @@ def active_backend() -> BackendSpec:
 
 # -- spills -------------------------------------------------------------------
 
-#: Process-local spill directories (used when no disk cache is active),
-#: removed at interpreter exit.
-_SPILL_TMPDIRS: list[str] = []
+#: The disk cache spills land in when no dataset cache is configured:
+#: one temp dir, made by the process that selected the sharded backend
+#: and removed when that process exits. Forked workers inherit it, so
+#: they share its entries and its spill locks.
+_TMP_SPILL_CACHE: DiskCache | None = None
 
 
-def _cleanup_spills() -> None:
-    for path in _SPILL_TMPDIRS:
-        shutil.rmtree(path, ignore_errors=True)
-
-
-atexit.register(_cleanup_spills)
+def _spill_cache() -> DiskCache:
+    """Where sharded tables are spilled: the dataset cache, or a temp one."""
+    global _TMP_SPILL_CACHE
+    cache = dataset_cache()
+    if cache is not None:
+        return cache
+    if _TMP_SPILL_CACHE is None:
+        root = tempfile.mkdtemp(prefix="repro-spill-")
+        # No budget: the dir lives as long as the run, and an evicted
+        # spill would have to be made again.
+        _TMP_SPILL_CACHE = DiskCache(root, max_bytes=None, max_entries=None)
+        # Forked workers leave through os._exit, so only this process
+        # runs the hook.
+        atexit.register(shutil.rmtree, root, ignore_errors=True)
+    return _TMP_SPILL_CACHE
 
 
 def _spill_hook(kind: str):
@@ -520,18 +535,6 @@ def _spill(
         _STATS["spill_shards_reused"] += writer.resumed_shards
 
 
-def _tmp_spill(
-    table: Table, shard_rows: int, group_by: str | None, kind: str
-) -> str:
-    tmp = tempfile.mkdtemp(prefix="repro-spill-")
-    _SPILL_TMPDIRS.append(tmp)
-    dest = Path(tmp) / "shards"
-    # A random tmp dir cannot be found again after a crash, so there is
-    # nothing to resume.
-    _spill(table, dest, shard_rows, group_by, kind, resume=False)
-    return str(dest)
-
-
 @contextmanager
 def _spill_lock(path: Path) -> Iterator[None]:
     """Hold an exclusive ``flock`` on ``path`` (created if missing).
@@ -569,18 +572,16 @@ def _sharded_build(
     """Spill a pure table builder to a sharded directory, via the cache.
 
     Returns the shard-table root as a path string (cheap to pickle into
-    kernels and to memoize). With a disk cache active the spill lands
-    in a cache entry (:meth:`DiskCache.put_path`) shared across
-    processes; otherwise in a process-local temp directory cleaned up
-    at exit. Cache-backed spills are **crash-safe**: they stage at a
-    deterministic per-key path under ``<cache>/.spill/`` so a process
-    killed mid-spill leaves a journaled partial that the next attempt
-    resumes instead of restarting, and processes that miss the same key
-    at once take turns on a lock beside it.
+    kernels and to memoize). The spill lands in an entry
+    (:meth:`DiskCache.put_path`) of :func:`_spill_cache`: the dataset
+    cache when one is configured, else the run's temp cache, shared by
+    every worker of the run either way. Spills are **crash-safe**:
+    they stage at a deterministic per-key path under ``<cache>/.spill/``
+    so a process killed mid-spill leaves a journaled partial that the
+    next attempt resumes instead of restarting, and processes that miss
+    the same key at once take turns on a lock beside it.
     """
-    cache = dataset_cache()
-    if cache is None:
-        return _tmp_spill(build_table(), shard_rows, group_by, kind)
+    cache = _spill_cache()
     key = _spill_key(kind, key_parts, shard_rows)
     path = cache.get_path(key)
     if path is not MISS:
@@ -602,24 +603,27 @@ def _sharded_build(
         _spill(table, dest, shard_rows, group_by, kind, resume=True)
         cache.put_path(key, dest, move=True)
         shutil.rmtree(stage, ignore_errors=True)
-    path = cache.get_path(key)
-    if path is not MISS:
-        return str(path)
-    # The entry was evicted before first use (cache budget smaller than
-    # the spill) — fall back to a process-local spill.
-    return _tmp_spill(table, shard_rows, group_by, kind)
+        path = cache.get_path(key)
+    if path is MISS:
+        # A put never evicts its own entry: another process evicted it,
+        # or the publish failed. The spill has no other place to live.
+        raise RuntimeError(
+            f"{kind} spill is missing from {cache.root} right after it "
+            "was stored (evicted by another process, or the store failed)"
+        )
+    return str(path)
 
 
 def heal_sharded_table(root: str, message: str) -> str | None:
     """Quarantine a corrupt sharded table and re-derive it from source.
 
     The recovery path behind every :class:`ShardIntegrityError`: the
-    damaged bytes are parked (disk-cache quarantine for cached tables,
-    deletion for tmp spills) and the table is rebuilt from its pure
-    upstream builder — byte-identical by construction. The table name
-    that resolved to the damaged root resolves to the new one from now
-    on. Returns the fresh root, or ``None`` for a root this process
-    never derived (the caller then re-raises).
+    damaged entry is parked in its cache's quarantine and the table is
+    rebuilt from its pure upstream builder — byte-identical by
+    construction. The table name that resolved to the damaged root
+    resolves to the new one from now on. Returns the fresh root, or
+    ``None`` for a root this process never derived (the caller then
+    re-raises).
     """
     root = str(root)
     memo = next((m for m, path in _ROOTS.items() if path == root), None)
@@ -628,10 +632,9 @@ def heal_sharded_table(root: str, message: str) -> str | None:
     _STATS["shards_quarantined"] += 1
     table, scale, seed, shard_rows = memo
     spec = _TABLES[table]
-    cache = dataset_cache()
-    key = _spill_key(spec.kind, spec.key(scale, seed), shard_rows)
-    if cache is None or not cache.quarantine_entry(key):
-        shutil.rmtree(root, ignore_errors=True)
+    _spill_cache().quarantine_entry(
+        _spill_key(spec.kind, spec.key(scale, seed), shard_rows)
+    )
     del _ROOTS[memo]
     new_root = _table_root(*memo)
     _STATS["shards_rederived"] += 1

@@ -3,7 +3,7 @@
 from .churn import ChurnModel, MachineOutage, sample_outages
 from .cluster import ENGINES, ClusterSimulator, SimConfig, SimResult
 from .constraints import Constraint, ConstraintModel, generate_attribute_matrix
-from .engine import CalendarQueue, EventQueue
+from .engine import EventQueue
 from .failures import FailureModel
 from .job import jobs_from_events
 from .machine import FleetState
@@ -24,7 +24,6 @@ from .task import SimTask, TaskColumns
 
 __all__ = [
     "CLUSTER_SERIES_SCHEMA",
-    "CalendarQueue",
     "ChurnModel",
     "ClusterSimulator",
     "Constraint",

@@ -403,7 +403,7 @@ static int32_t place(SimState *s, int32_t row)
     return best;
 }
 
-/* ---- draws (mirror soa._DoubleStream consumers) ------------------------ */
+/* ---- draws (mirror soa.py's failure-model draws) ----------------------- */
 
 static inline int8_t refate_draw(SimState *s, pcg64_t *rng)
 {

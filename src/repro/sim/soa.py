@@ -2,20 +2,16 @@
 
 Same model, same decisions, same bits — only faster. The scalar engine
 in :mod:`repro.sim.cluster` stays as the golden reference; this module
-re-implements its event loop with every per-event cost stripped:
+re-implements its event loop with the per-event object costs stripped:
 
 * **SoA task state.** Immutable per-task columns live in one
   :class:`~repro.sim.task.TaskColumns` block; the mutable state
   (``state``, ``machine``, ``incarnation``, ``resubmits``, ``fate``,
   ``start_time``) lives in flat Python lists indexed by task row.
-  ``record()`` appends ``(time, row, etype, machine)`` into
-  preallocated NumPy buffers (:class:`_EventLog`) and the final event
-  table is assembled by fancy-indexing the columns once, instead of
-  eight Python lists fed one attribute read at a time.
-* **Calendar queue.** The binary heap is replaced by
-  :class:`~repro.sim.engine.CalendarQueue` keyed on the monitor tick
-  grid — O(1) pushes, one sort per bucket, identical ``(time, seq)``
-  pop order.
+  ``record()`` appends ``(time, row, etype, machine)`` to four Python
+  lists and the final event table is assembled by fancy-indexing the
+  columns once, instead of eight lists fed one attribute read at a
+  time.
 * **Batch admission.** Placement resolves against maintained fleet
   columns: for the ``balance`` policy a per-machine relative-free-CPU
   ``score`` array is updated on every start/stop and the hot path is a
@@ -26,6 +22,10 @@ re-implements its event loop with every per-event cost stripped:
   of one full candidate scan. FCFS-per-priority head-of-line order is
   untouched: tasks are still admitted one at a time in exactly the
   scalar engine's order; only the per-decision cost changes.
+
+The event queue is the scalar engine's binary-heap
+:class:`~repro.sim.engine.EventQueue`, drained one timestamp at a time
+with :meth:`~repro.sim.engine.EventQueue.pop_batch`.
 
 Why the results are byte-identical:
 
@@ -43,18 +43,15 @@ Why the results are byte-identical:
   it, so no eligible machine with an equal score can precede the probe
   result. Down machines hold score ``-inf`` and can never win the
   probe. Any other case falls back to the literal masked computation.
-* RNG draws are positionally exact. Every failure-model draw consumes
-  exactly one double (``uniform(lo, hi) == lo + (hi-lo)*random()``,
-  ``uniform() == random()``, and ``choice(n, p) ==
-  searchsorted(cdf, random(), 'right')`` with ``cdf = p.cumsum();
-  cdf /= cdf[-1]`` — all bitwise identities of
-  ``numpy.random.Generator``), so :class:`_DoubleStream` can serve
-  them from a block draw and re-align the underlying PCG64 stream with
-  ``state``-restore + ``advance(consumed)`` before any other consumer
-  (the monitor's ``standard_normal``/``uniform`` vectors) touches the
-  generator. Non-PCG64 bit generators and the ``random`` placement
-  policy (whose ``choice`` consumes raw uint64s) disable buffering and
-  fall back to direct scalar draws — still identical, just slower.
+* RNG draws are positionally exact. Every failure-model draw is one
+  ``rng.random()`` call in the scalar engine's order
+  (``uniform(lo, hi) == lo + (hi-lo)*random()``, ``uniform() ==
+  random()``, and ``choice(n, p) == searchsorted(cdf, random(),
+  'right')`` with ``cdf = p.cumsum(); cdf /= cdf[-1]`` — all bitwise
+  identities of ``numpy.random.Generator``), so the monitor's vector
+  draws, the ``random`` placement policy's ``choice`` and the final
+  generator state see the stream exactly where the scalar engine
+  leaves it, for any bit generator.
 
 The golden-equivalence suite (tests/test_sim_soa.py) pins all of this:
 seeds x placement policies x preemption x churn x constraints, all
@@ -72,7 +69,7 @@ import numpy as np
 from ..core.table import Table
 from ..traces.schema import TASK_EVENT_SCHEMA, TaskEvent, TaskState
 from .churn import sample_outages
-from .engine import COMPLETE, MACHINE_DOWN, MACHINE_UP, TICK, CalendarQueue
+from .engine import COMPLETE, MACHINE_DOWN, MACHINE_UP, TICK, EventQueue
 from .failures import FailureModel
 from .machine import FleetState
 from .monitor import UsageMonitor
@@ -91,143 +88,7 @@ _EVICT = int(TaskEvent.EVICT)
 _FAIL = int(TaskEvent.FAIL)
 _FINISH = int(TaskEvent.FINISH)
 
-#: Bit generators whose ``state``/``advance`` contract lets
-#: :class:`_DoubleStream` buffer block draws (one uint64 per double).
-_BUFFERABLE_BITGENS = ("PCG64", "PCG64DXSM")
-
 _NEG_INF = float("-inf")
-
-
-class _DoubleStream:
-    """Scalar uniform doubles, bit-identical to sequential ``random()``.
-
-    Buffered mode (PCG64/PCG64DXSM only): blocks of
-    ``rng.random(_BLOCK)`` are drawn at once — NumPy's vectorized fill
-    produces the same doubles, in order, as scalar calls — and consumed
-    from a Python list at ~20ns per draw. :meth:`sync` re-aligns the
-    real generator to "exactly ``consumed`` scalar draws happened" by
-    restoring the block's anchor state and ``advance``-ing one step per
-    consumed double, so interleaved consumers (the monitor) observe a
-    bit-exact stream position. Unbuffered mode simply forwards to
-    ``rng.random()``.
-    """
-
-    __slots__ = ("_rng", "_bitgen", "_buffered", "_buf", "_pos", "_anchor")
-
-    _BLOCK = 512
-
-    def __init__(self, rng: np.random.Generator, buffered: bool) -> None:
-        self._rng = rng
-        self._bitgen = rng.bit_generator
-        self._buffered = buffered
-        self._buf: list[float] = []
-        self._pos = 0
-        self._anchor = None
-
-    def next(self) -> float:
-        if self._pos < len(self._buf):
-            value = self._buf[self._pos]
-            self._pos += 1
-            return value
-        if not self._buffered:
-            return float(self._rng.random())
-        self._anchor = self._bitgen.state
-        self._buf = self._rng.random(self._BLOCK).tolist()
-        self._pos = 1
-        return self._buf[0]
-
-    def sync(self) -> None:
-        """Restore the true generator position; drop unread buffer."""
-        anchor = self._anchor
-        if anchor is None:
-            return
-        if self._pos != len(self._buf):
-            # Partially consumed block: rewind to the anchor and step
-            # forward one uint64 per consumed double.
-            self._bitgen.state = anchor
-            self._bitgen.advance(self._pos)
-            if anchor["has_uint32"] or anchor["uinteger"]:
-                # advance() zeroes PCG64's cached half-uint64; double
-                # draws never touch it, so the scalar engine leaves the
-                # (possibly stale) cache in place — restore it for a
-                # byte-identical final state.
-                state = self._bitgen.state
-                state["has_uint32"] = anchor["has_uint32"]
-                state["uinteger"] = anchor["uinteger"]
-                self._bitgen.state = state
-        self._anchor = None
-        self._buf = []
-        self._pos = 0
-
-
-class _EventLog:
-    """Preallocated columnar event log with a small staging window.
-
-    Appends land in Python staging lists (cheapest possible per-event
-    op) and are flushed in 1024-row slices into preallocated NumPy
-    buffers grown geometrically — so the log costs one vectorized
-    assignment per thousand events instead of eight list appends per
-    event, and :meth:`columns` returns ready-made arrays.
-    """
-
-    __slots__ = ("_time", "_row", "_etype", "_machine", "_n",
-                 "_st", "_sr", "_se", "_sm")
-
-    _STAGE = 1024
-
-    def __init__(self, capacity: int) -> None:
-        capacity = max(int(capacity), self._STAGE)
-        self._time = np.empty(capacity, dtype=np.float64)
-        self._row = np.empty(capacity, dtype=np.int64)
-        self._etype = np.empty(capacity, dtype=np.int8)
-        self._machine = np.empty(capacity, dtype=np.int64)
-        self._n = 0
-        self._st: list[float] = []
-        self._sr: list[int] = []
-        self._se: list[int] = []
-        self._sm: list[int] = []
-
-    def append(self, time: float, row: int, etype: int, machine: int) -> None:
-        self._st.append(time)
-        self._sr.append(row)
-        self._se.append(etype)
-        self._sm.append(machine)
-        if len(self._st) >= self._STAGE:
-            self._flush()
-
-    def _flush(self) -> None:
-        k = len(self._st)
-        if not k:
-            return
-        end = self._n + k
-        if end > len(self._time):
-            capacity = len(self._time)
-            while capacity < end:
-                capacity *= 2
-            for name in ("_time", "_row", "_etype", "_machine"):
-                old = getattr(self, name)
-                grown = np.empty(capacity, dtype=old.dtype)
-                grown[: self._n] = old[: self._n]
-                setattr(self, name, grown)
-        self._time[self._n : end] = self._st
-        self._row[self._n : end] = self._sr
-        self._etype[self._n : end] = self._se
-        self._machine[self._n : end] = self._sm
-        self._n = end
-        self._st.clear()
-        self._sr.clear()
-        self._se.clear()
-        self._sm.clear()
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        self._flush()
-        n = self._n
-        return (
-            self._time[:n].copy(),
-            self._row[:n].copy(),
-            self._etype[:n].copy(),
-            self._machine[:n].copy(),
-        )
 
 
 def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
@@ -365,15 +226,19 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
         )
     }
 
-    buffered = (
-        type(rng.bit_generator).__name__ in _BUFFERABLE_BITGENS
-        and policy != "random"
-    )
-    stream = _DoubleStream(rng, buffered)
-    draw = stream.next
+    draw = rng.random
 
-    log = _EventLog(4 * n_tasks)
-    log_append = log.append
+    # Event-log builders (flat Python lists; arrays built at the end).
+    log_time: list[float] = []
+    log_row: list[int] = []
+    log_type: list[int] = []
+    log_machine: list[int] = []
+
+    def record(time: float, row: int, etype: int, m: int) -> None:
+        log_time.append(time)
+        log_row.append(row)
+        log_type.append(etype)
+        log_machine.append(m)
 
     counts = {
         "finish": 0,
@@ -386,7 +251,7 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
     }
 
     period = config.monitor.sample_period
-    queue = CalendarQueue(period, horizon)
+    queue = EventQueue()
     queue_push = queue.push
     pending: list[tuple[int, int, int]] = []  # (-priority, seq, row)
     pending_seq = 0
@@ -490,7 +355,7 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
         n_running[m] += 1
         reg[key] = row
         score[m] = fc / cap[m]
-        log_append(time, row, _SCHEDULE, m)
+        record(time, row, _SCHEDULE, m)
         counts["scheduled"] += 1
         f = fate[row]
         if f == _FINISH:
@@ -550,7 +415,7 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
         nonlocal pending_seq
         m = machine[row]
         _fleet_stop(m, row)
-        log_append(time, row, _EVICT, m)
+        record(time, row, _EVICT, m)
         counts["evict"] += 1
         incarnation[row] += 1
         machine[row] = -1
@@ -558,7 +423,7 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
             resubmit_ct[row] += 1
             fate[row] = refate_codes[bisect_right(refate_cdf, draw())]
             state[row] = _PENDING
-            log_append(time, row, _SUBMIT, -1)
+            record(time, row, _SUBMIT, -1)
             counts["submitted"] += 1
             heappush(pending, (-prio[row], pending_seq, row))
             pending_seq += 1
@@ -649,7 +514,7 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
             time = arr_time
             if time > horizon:
                 break
-            log_append(time, row, _SUBMIT, -1)
+            record(time, row, _SUBMIT, -1)
             counts["submitted"] += 1
             if not _try_place(row, time):
                 heappush(pending, (-prio[row], pending_seq, row))
@@ -668,7 +533,7 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
                 m = machine[row]
                 _fleet_stop(m, row)
                 f = fate[row]
-                log_append(time, row, f, m)
+                record(time, row, f, m)
                 counts[fate_key[f]] += 1
                 n_finished += 1
                 if f != _FINISH:
@@ -679,7 +544,7 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
                     resubmit_ct[row] += 1
                     fate[row] = refate_codes[bisect_right(refate_cdf, draw())]
                     state[row] = _PENDING
-                    log_append(time, row, _SUBMIT, -1)
+                    record(time, row, _SUBMIT, -1)
                     counts["submitted"] += 1
                     if not _try_place(row, time):
                         heappush(pending, (-prio[row], pending_seq, row))
@@ -688,7 +553,6 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
                     state[row] = _DEAD
                 _drain_pending(time)
             elif kind == TICK:
-                stream.sync()
                 _sync_fleet()
                 monitor.sample(time, len(pending), n_finished, n_abnormal)
                 if time + period <= horizon:
@@ -707,20 +571,17 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
                 score[m] = free_cpu[m] / cap[m]
                 _drain_pending(time)
 
-    # Leave the generator exactly where the scalar engine would.
-    stream.sync()
-
     counts["still_running"] = sum(n_running)
     counts["still_pending"] = len(pending)
 
-    ev_time, ev_row, ev_type, ev_machine = log.columns()
+    ev_row = np.asarray(log_row, dtype=np.int64)
     task_events = Table(
         {
-            "time": ev_time,
+            "time": np.asarray(log_time, dtype=np.float64),
             "job_id": cols.job_id[ev_row],
             "task_index": cols.task_index[ev_row],
-            "machine_id": ev_machine,
-            "event_type": ev_type,
+            "machine_id": np.asarray(log_machine, dtype=np.int64),
+            "event_type": np.asarray(log_type, dtype=np.int8),
             "priority": cols.priority[ev_row],
             "cpu_request": cols.cpu_request[ev_row],
             "mem_request": cols.mem_request[ev_row],

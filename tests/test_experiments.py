@@ -331,6 +331,56 @@ class TestShardedBackend:
 
         configure_backend(None)
 
+    def test_uncached_workers_share_one_spill(self, tmp_path):
+        # Two forked experiment workers both read google_jobs. With no
+        # disk cache they spill into the run's one temp dir: the first
+        # spills, the second finds its entry, and the CLI process
+        # removes the dir at exit.
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        spill_tmp = tmp_path / "tmp"
+        spill_tmp.mkdir()
+        env["TMPDIR"] = str(spill_tmp)
+        report = tmp_path / "report.json"
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.experiments.runner",
+                "fig2",
+                "fig5",
+                "--scale",
+                "small",
+                "--backend",
+                "sharded",
+                "--jobs",
+                "2",
+                "--no-cache",
+                "--shard-rows",
+                "4096",
+                "--json",
+                str(report),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=str(tmp_path),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert list(spill_tmp.glob("repro-spill-*")) == []
+        counters = json.loads(report.read_text())["counters"]
+        assert counters["shard_spills"] == 1
+
 
 class TestOutOfCoreChaos:
     """Injected worker kill, shard corruption, and block hang must heal.

@@ -16,7 +16,6 @@ from repro.core.kernels import (
     MassCountAccumulator,
     grouped_sort_split,
     pooled_level_durations,
-    run_length_encode,
 )
 from repro.core.masscount import mass_count
 from repro.core.segments import (
@@ -40,43 +39,6 @@ from repro.hostload.series import (
 def sim(tiny_sim_result):
     _, result = tiny_sim_result
     return result
-
-
-class TestRunLengthEncode:
-    def test_reconstructs_input(self, rng):
-        codes = rng.integers(0, 4, 500)
-        runs = run_length_encode(codes)
-        np.testing.assert_array_equal(
-            np.repeat(runs.values, runs.lengths), codes
-        )
-        np.testing.assert_array_equal(
-            runs.starts, np.concatenate(([0], np.cumsum(runs.lengths)[:-1]))
-        )
-
-    def test_matches_scalar_scan(self, rng):
-        codes = rng.integers(0, 3, 200)
-        runs = run_length_encode(codes)
-        # Scalar reference: walk the array element by element.
-        starts, lengths, values = [0], [], [codes[0]]
-        for i in range(1, len(codes)):
-            if codes[i] != codes[i - 1]:
-                lengths.append(i - starts[-1])
-                starts.append(i)
-                values.append(codes[i])
-        lengths.append(len(codes) - starts[-1])
-        np.testing.assert_array_equal(runs.starts, starts)
-        np.testing.assert_array_equal(runs.lengths, lengths)
-        np.testing.assert_array_equal(runs.values, values)
-
-    def test_empty_and_constant(self):
-        assert len(run_length_encode(np.empty(0, dtype=np.int64))) == 0
-        runs = run_length_encode(np.full(7, 3))
-        assert list(runs.lengths) == [7]
-        assert list(runs.values) == [3]
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            run_length_encode(np.zeros((2, 2)))
 
 
 class TestDiscretizeFastPath:

@@ -22,24 +22,13 @@ import pytest
 
 from repro.core.ecdf import ecdf
 from repro.core.fairness import HourlyCountsAccumulator, hourly_counts
-from repro.core.kernels import (
-    ECDFAccumulator,
-    MassCountAccumulator,
-    merge_run_lengths,
-    run_length_encode,
-)
+from repro.core.kernels import ECDFAccumulator, MassCountAccumulator
 from repro.core import mapreduce, supervise
-from repro.core.mapreduce import (
-    MapReduceError,
-    map_reduce,
-    map_shards,
-    merge_accumulators,
-)
+from repro.core.mapreduce import MapReduceError, map_reduce, map_shards
 from repro.core.masscount import mass_count
 from repro.core.shard import ShardedTable, ShardIntegrityError
 from repro.core.supervise import Policy
 from repro.core.timing import Timings
-from repro.core.segments import LevelRunAccumulator, level_durations
 from repro.core.shard import write_table
 from repro.core.table import Table
 
@@ -72,10 +61,6 @@ def _hourly_kernel(shard, horizon):
     acc = HourlyCountsAccumulator(horizon)
     acc.add(np.asarray(shard["x"]))
     return acc
-
-
-def _runs_kernel(shard):
-    return run_length_encode(np.asarray(shard["x"]))
 
 
 class TestMapShards:
@@ -131,62 +116,6 @@ class TestMergeExactness:
             )
             acc = map_reduce(sharded, _hourly_kernel, args=(horizon,))
             np.testing.assert_array_equal(acc.counts(), want)
-
-    def test_run_lengths(self, tmp_path):
-        rng = np.random.default_rng(11)
-        codes = rng.integers(0, 3, 120, dtype=np.int64)
-        want = run_length_encode(codes)
-        for rows in SHARD_SIZES:
-            sharded = write_table(
-                Table({"x": codes}), tmp_path / f"r{rows}", rows
-            )
-            got = map_reduce(sharded, _runs_kernel, merge=merge_run_lengths)
-            np.testing.assert_array_equal(got.starts, want.starts)
-            np.testing.assert_array_equal(got.lengths, want.lengths)
-            np.testing.assert_array_equal(got.values, want.values)
-
-
-class TestLevelRunAccumulator:
-    def test_matches_batch_for_any_chunking(self):
-        rng = np.random.default_rng(7)
-        period = 300.0
-        values = np.clip(rng.normal(0.5, 0.3, 240), 0.0, 1.0)
-        times = np.arange(values.size) * period
-        want = level_durations(times, values)
-        for sizes in [(240,), (1,) * 240, (37, 100, 103), (239, 1)]:
-            acc = LevelRunAccumulator(tail=period)
-            start = 0
-            for size in sizes:
-                acc.add(times[start : start + size], values[start : start + size])
-                start += size
-            got = acc.finalize()
-            assert got.keys() == want.keys()
-            for lvl in want:
-                np.testing.assert_array_equal(got[lvl], want[lvl])
-
-    def test_merge_matches_single_accumulator(self):
-        rng = np.random.default_rng(9)
-        period = 300.0
-        values = np.clip(rng.normal(0.5, 0.3, 90), 0.0, 1.0)
-        times = np.arange(values.size) * period
-        want = level_durations(times, values)
-        parts = []
-        for lo, hi in ((0, 30), (30, 31), (31, 90)):
-            acc = LevelRunAccumulator(tail=period)
-            acc.add(times[lo:hi], values[lo:hi])
-            parts.append(acc)
-        merged = merge_accumulators(
-            merge_accumulators(parts[0], parts[1]), parts[2]
-        )
-        got = merged.finalize()
-        for lvl in want:
-            np.testing.assert_array_equal(got[lvl], want[lvl])
-
-    def test_rejects_out_of_order_chunks(self):
-        acc = LevelRunAccumulator(tail=300.0)
-        acc.add(np.array([0.0, 300.0]), np.array([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            acc.add(np.array([150.0]), np.array([0.1]))
 
 
 class TestSpawnPool:

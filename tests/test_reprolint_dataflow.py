@@ -699,6 +699,26 @@ class TestIncrementalCache:
         assert [d.rule_id for d in warm.all_diagnostics] == ["REP000"]
         assert warm.files_analyzed == 0
 
+    def test_identical_files_at_two_paths(self, project, tmp_path):
+        # Same bytes, different paths: each file's summary records its
+        # own module and its diagnostics their own path, so neither
+        # cache entry may be shared between them.
+        project.write("src/repro/core/a.py", "import random\n")
+        project.write("src/repro/core/b.py", "import random\n")
+        cache_dir = tmp_path / "lint-cache"
+        cold = project.lint(cache_dir=cache_dir)
+        warm = project.lint(cache_dir=cache_dir)
+        found = sorted(
+            (d.path, d.line)
+            for d in cold.all_diagnostics
+            if d.rule_id == "REP101"
+        )
+        assert found == [("src/repro/core/a.py", 1), ("src/repro/core/b.py", 1)]
+        assert warm.files_analyzed == 0
+        assert [d.to_dict() for d in warm.all_diagnostics] == [
+            d.to_dict() for d in cold.all_diagnostics
+        ]
+
 
 # -- parallel analysis --------------------------------------------------------
 

@@ -3,9 +3,9 @@
 The SoA engine (and its compiled C hot loop) must reproduce the scalar
 golden reference *byte for byte* — every event, every monitor sample,
 every count, and the final RNG state. These tests pin that contract
-over placement x preemption x churn x constraints, plus the calendar
-queue's ordering invariants and the scalar-engine bugfixes that rode
-along (stable preemption scan, fleet clamp, horizon accounting).
+over placement x preemption x churn x constraints, plus the
+scalar-engine bugfixes that rode along (stable preemption scan, fleet
+clamp, horizon accounting).
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.sim import _ckernel
 from repro.sim.churn import ChurnModel
 from repro.sim.cluster import ENGINES
 from repro.sim.constraints import ConstraintModel, generate_attribute_matrix
-from repro.sim.engine import CalendarQueue, EventQueue
 from repro.sim.failures import FailureModel
 from repro.sim.machine import FleetState
 from repro.sim.task import SimTask
@@ -137,103 +136,6 @@ class TestKernelEligibility:
         result = _ckernel.try_run(sim, requests, HOUR)
         assert result is not None
         assert result.counts["submitted"] > 0
-
-
-class TestCalendarQueue:
-    """CalendarQueue must be a drop-in for the binary-heap EventQueue."""
-
-    def test_time_order_and_fifo_ties(self):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        q.push(30.0, 0, "c")
-        q.push(10.0, 0, "a")
-        q.push(10.0, 1, "b")
-        assert [q.pop()[2] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_past_scheduling_rejected(self):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        q.push(50.0, 0)
-        q.pop()
-        with pytest.raises(ValueError, match="past"):
-            q.push(10.0, 0)
-
-    @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), float("-inf")]
-    )
-    def test_non_finite_time_rejected(self, bad):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        with pytest.raises(ValueError, match="finite"):
-            q.push(bad, 0)
-
-    def test_pop_empty_raises(self):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        with pytest.raises(IndexError):
-            q.pop()
-        with pytest.raises(IndexError):
-            q.pop_batch()
-
-    def test_beyond_horizon_overflow_bucket(self):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        q.push(500.0, 0, "far")
-        q.push(120.0, 0, "near")
-        q.push(5.0, 0, "now")
-        assert [q.pop()[2] for _ in range(3)] == ["now", "near", "far"]
-
-    def test_late_push_into_draining_bucket(self):
-        # After the frontier sorts a bucket, a push at now() must land
-        # in the late heap and still interleave in (time, seq) order.
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        q.push(12.0, 0, "a")
-        q.push(18.0, 0, "c")
-        assert q.pop()[2] == "a"  # frontier has sorted bucket [10, 20)
-        q.push(12.0, 0, "late-equal")
-        q.push(15.0, 0, "b")
-        assert [q.pop()[2] for _ in range(3)] == ["late-equal", "b", "c"]
-
-    def _random_times(self, rng, now, horizon):
-        r = rng.random()
-        if r < 0.25:
-            return now  # exercise the late heap at the frontier
-        if r < 0.55:
-            # grid-aligned → timestamp ties across and within buckets
-            return max(now, float(rng.integers(0, 14)) * 10.0)
-        return now + float(rng.uniform(0.0, horizon * 1.3))
-
-    def test_matches_heap_reference_interleaved(self):
-        rng = np.random.default_rng(41)
-        for trial in range(4):
-            cal = CalendarQueue(width=10.0, horizon=100.0)
-            ref = EventQueue()
-            pushed = 0
-            for _step in range(400):
-                if len(ref) and rng.random() < 0.45:
-                    assert cal.pop() == ref.pop()
-                    assert cal.now == ref.now
-                else:
-                    t = self._random_times(rng, cal.now, 100.0)
-                    kind = int(rng.integers(0, 3))
-                    cal.push(t, kind, pushed)
-                    ref.push(t, kind, pushed)
-                    pushed += 1
-                assert len(cal) == len(ref)
-                assert cal.peek_time() == ref.peek_time()
-            while len(ref):
-                assert cal.pop() == ref.pop()
-
-    def test_pop_batch_matches_heap_reference(self):
-        rng = np.random.default_rng(42)
-        cal = CalendarQueue(width=10.0, horizon=100.0)
-        ref = EventQueue()
-        pushed = 0
-        for _step in range(300):
-            if len(ref) and rng.random() < 0.35:
-                assert cal.pop_batch() == ref.pop_batch()
-            else:
-                t = self._random_times(rng, cal.now, 100.0)
-                cal.push(t, 0, pushed)
-                ref.push(t, 0, pushed)
-                pushed += 1
-        while len(ref):
-            assert cal.pop_batch() == ref.pop_batch()
 
 
 def _task(priority=5, cpu=0.1, mem=0.1, job=0, idx=0, start=0.0):
