@@ -1,11 +1,17 @@
-"""``repro-bench``: tracked kernel benchmark harness.
+"""Kernel benchmark: the library's vectorized kernels against their oracles.
 
-Times three vectorized kernels against their scalar golden references
-at one or more dataset scales: per-machine series extraction,
-run-length segmentation of usage levels, and the SoA simulator's drain
-against the scalar engine (``sim_drain``). Everything else is timed end
-to end, each workload in a fresh process, by the repository's
-``bench/`` harness, not here. Results land in
+Run from a checkout's root (the package installed or ``src`` on
+``PYTHONPATH``)::
+
+    python -m benchmarks.kernels --scale small --check
+
+Times three vectorized kernels against the scalar golden references of
+``tests/oracles.py`` at one or more dataset scales: per-machine series
+extraction, run-length segmentation of usage levels, and the
+simulator's drain (``ClusterSimulator.run``, on the C kernel when one
+is built) against the scalar engine (``sim_drain``). Everything else is
+timed end to end, each workload in a fresh process, by the
+repository's ``bench/`` harness, not here. Results land in
 ``benchmarks/BENCH_<n>.json`` snapshots (``n`` auto-increments) and
 each run diffs itself against the previous snapshot, flagging
 regressions.
@@ -44,18 +50,20 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.table import Table
-from ..core.timing import Timings
-from ..hostload.levels import (
-    _pooled_level_durations_scalar,
-    pooled_level_durations as pooled_series_durations,
+from repro.core.table import Table
+from repro.core.timing import Timings
+from repro.hostload.levels import pooled_level_durations
+from repro.hostload.series import all_machine_series
+from repro.sim.cluster import ClusterSimulator, SimConfig
+from repro.sim.monitor import MACHINE_USAGE_SCHEMA
+from repro.synth.google_model import GoogleConfig, generate_task_requests
+from repro.synth.machines import generate_machines
+from repro.synth.presets import DAY
+from tests.oracles import (
+    all_machine_series_scalar,
+    pooled_level_durations_scalar,
+    run_scalar,
 )
-from ..hostload.series import _all_machine_series_scalar, grouped_machine_series
-from ..sim.cluster import ClusterSimulator, SimConfig
-from ..sim.monitor import MACHINE_USAGE_SCHEMA
-from ..synth.google_model import GoogleConfig, generate_task_requests
-from ..synth.machines import generate_machines
-from ..synth.presets import DAY
 
 __all__ = ["main", "run_benchmarks"]
 
@@ -278,12 +286,12 @@ def _bench_series_extraction(
     speedup = None
     if scale in _SCALAR_SKIP_SCALES:
         series, wall, cpu = _timed(
-            lambda: grouped_machine_series(usage, machines)
+            lambda: all_machine_series(usage, machines)
         )
     else:
         series, _, wall, cpu, speedup = _timed_pair(
-            lambda: grouped_machine_series(usage, machines),
-            lambda: _all_machine_series_scalar(usage, machines),
+            lambda: all_machine_series(usage, machines),
+            lambda: all_machine_series_scalar(usage, machines),
         )
     entry = _entry(
         "series_extraction",
@@ -299,11 +307,11 @@ def _bench_series_extraction(
 def _bench_run_length(scale: str, seed: int, series: dict) -> dict[str, object]:
     speedup = None
     if scale in _SCALAR_SKIP_SCALES:
-        _, wall, cpu = _timed(lambda: pooled_series_durations(series, "cpu"))
+        _, wall, cpu = _timed(lambda: pooled_level_durations(series, "cpu"))
     else:
         _, _, wall, cpu, speedup = _timed_pair(
-            lambda: pooled_series_durations(series, "cpu"),
-            lambda: _pooled_level_durations_scalar(series, "cpu"),
+            lambda: pooled_level_durations(series, "cpu"),
+            lambda: pooled_level_durations_scalar(series, "cpu"),
         )
     rows = sum(len(s) for s in series.values())
     return _entry(
@@ -317,7 +325,7 @@ def _bench_run_length(scale: str, seed: int, series: dict) -> dict[str, object]:
 
 
 def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
-    """SoA engine (compiled hot loop when available) vs scalar golden.
+    """The simulator (compiled hot loop when available) vs the scalar engine.
 
     The speedup column is the whole point — the 0.8x retention gate on
     it keeps the fast engine fast.
@@ -332,20 +340,20 @@ def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
         tasks_per_hour=tasks_per_hour,
     )
 
-    def run(engine: str):
-        sim = ClusterSimulator(machines, SimConfig(), seed=seed + 2)
-        return sim.run(requests, horizon, engine=engine)
+    def simulator() -> ClusterSimulator:
+        return ClusterSimulator(machines, SimConfig(), seed=seed + 2)
 
     speedup = None
     if scale in _SCALAR_SKIP_SCALES:
-        result, wall, cpu = _timed(lambda: run("soa"))
+        result, wall, cpu = _timed(lambda: simulator().run(requests, horizon))
     else:
         result, scalar_result, wall, cpu, speedup = _timed_pair(
-            lambda: run("soa"), lambda: run("scalar")
+            lambda: simulator().run(requests, horizon),
+            lambda: run_scalar(simulator(), requests, horizon),
         )
         if scalar_result.task_events != result.task_events:
             raise AssertionError(
-                "sim_drain: SoA engine diverged from scalar golden run"
+                "sim_drain: the simulator diverged from the scalar golden run"
             )
     return _entry(
         "sim_drain",
@@ -449,7 +457,7 @@ def compare_snapshots(
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-bench",
+        prog="python -m benchmarks.kernels",
         description=(
             "Benchmark the vectorized kernels against their oracles; "
             "write a BENCH_<n>.json snapshot and diff it against the "
@@ -505,7 +513,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     def log(msg: str) -> None:
         print(msg, file=sys.stderr, flush=True)
 
-    log(f"repro-bench: scales={scales} seed={args.seed}")
+    log(f"benchmarks.kernels: scales={scales} seed={args.seed}")
     entries = run_benchmarks(scales, args.seed, log=log)
     snapshot = {
         "version": 1,

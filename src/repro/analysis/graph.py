@@ -428,6 +428,20 @@ def _read_imports(
     return aliases, tuple(sites)
 
 
+def _package_imports(
+    sites: tuple[ImportSite, ...], package: str
+) -> tuple[str, ...]:
+    """Absolute package-internal modules imported at ``sites``, in order."""
+    prefix = package + "."
+    internal: list[str] = []
+    for site in sites:
+        if site.module == package or site.module.startswith(prefix):
+            internal.append(site.module)
+            # ``from repro.x import y`` may import module y itself.
+            internal.extend(f"{site.module}.{name}" for name in site.names)
+    return tuple(dict.fromkeys(internal))
+
+
 # -- per-file summarization ---------------------------------------------------
 
 
@@ -988,14 +1002,7 @@ class _ModuleSummarizer:
 
     def run(self) -> ModuleSummary:
         summary = self.summary
-        prefix = self.package + "."
-        internal: list[str] = []
-        for site in summary.import_sites:
-            if site.module == self.package or site.module.startswith(prefix):
-                internal.append(site.module)
-                # ``from repro.x import y`` may import module y itself.
-                internal.extend(f"{site.module}.{name}" for name in site.names)
-        summary.imports = tuple(dict.fromkeys(internal))
+        summary.imports = _package_imports(summary.import_sites, self.package)
 
         # Module-level statements run in an anonymous scope.
         top = _Scope(self, params=(), fn_name=None)
@@ -1471,13 +1478,21 @@ def summarize_module(
             parse_error=exc.msg or str(exc),
             parse_error_line=exc.lineno or 1,
         )
-    summarizer = _ModuleSummarizer(
-        tree,
-        module,
-        relpath,
-        package,
-        is_package=relpath.endswith("__init__.py"),
-    )
+    is_package = relpath.endswith("__init__.py")
+    if module is None:
+        # Outside the package the rules read a file's imports and
+        # nothing else: the graph indexes package modules only, and
+        # every rule that reads functions, calls, boundaries, RNG
+        # constructions, module effects or lifecycles skips such files.
+        aliases, sites = _read_imports(tree, None, is_package)
+        return ModuleSummary(
+            module=None,
+            relpath=relpath,
+            imports=_package_imports(sites, package),
+            exports=aliases,
+            import_sites=sites,
+        )
+    summarizer = _ModuleSummarizer(tree, module, relpath, package, is_package)
     summary = summarizer.run()
     from .cfg import summarize_lifecycle
 

@@ -14,8 +14,8 @@ module collects the hot inner passes as single-sweep NumPy kernels:
   streaming/columnar generation.
 
 Equivalence contract: every kernel here is **bit-identical** to the
-scalar path it replaces. The scalar implementations are intentionally
-kept (as golden references) next to their call sites and the
+scalar path it replaces. The scalar implementations live in
+``tests/oracles.py`` as golden references, and the
 ``tests/test_kernels.py`` golden suite runs both on seeded inputs.
 """
 

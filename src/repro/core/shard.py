@@ -31,11 +31,11 @@ Two partitioning modes:
 Integrity and crash safety (format version 2):
 
 * The manifest records a **sha256 digest per column file** alongside
-  the per-shard row counts. :meth:`ShardedTable.open` always validates
+  the per-shard row counts. :meth:`ShardedTable.open` validates
   structure (every shard directory and column file present, on-disk row
-  counts matching the manifest) and, per the ``verify`` mode, checks
-  digests eagerly (``"full"``), on first read of each column
-  (``"lazy"``, the default), or never (``"none"``). Any mismatch
+  counts matching the manifest), and every opened table checks each
+  column file's digest on its first read;
+  :meth:`ShardedTable.verify_all` checks them all at once. Any mismatch
   raises :class:`ShardIntegrityError` — a
   :class:`~repro.core.diskcache.CacheCorruptionError` subtype, so cache
   consumers classify it as transient corruption and quarantine/rebuild.
@@ -77,7 +77,6 @@ __all__ = [
     "ShardIntegrityError",
     "ShardWriter",
     "ShardedTable",
-    "VERIFY_MODES",
     "write_table",
 ]
 
@@ -85,9 +84,6 @@ _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _LOCK = ".lock"
 _FORMAT_VERSION = 2
-
-#: Digest-verification policies for :meth:`ShardedTable.open`.
-VERIFY_MODES = ("none", "lazy", "full")
 
 
 class ShardIntegrityError(CacheCorruptionError):
@@ -617,14 +613,12 @@ class ShardWriter:
 class ShardedTable:
     """Read-only view over a published shard directory.
 
-    ``verify`` selects the digest policy: ``"lazy"`` (default) checks
-    each column file's sha256 the first time :meth:`shard` reads it,
-    ``"full"`` checks everything at :meth:`open`, ``"none"`` skips
-    digests entirely. Structural validation — every shard directory and
-    column file present with the manifest's row counts — always runs at
-    open, so a truncated or hand-edited table fails fast with a
-    :class:`ShardIntegrityError` instead of feeding partial data to a
-    kernel.
+    Each column file's sha256 is checked the first time :meth:`shard`
+    reads it; :meth:`verify_all` checks every file at once. Structural
+    validation — every shard directory and column file present with the
+    manifest's row counts — runs at :meth:`open`, so a truncated or
+    hand-edited table fails fast with a :class:`ShardIntegrityError`
+    instead of feeding partial data to a kernel.
     """
 
     __slots__ = (
@@ -634,7 +628,6 @@ class ShardedTable:
         "_shard_rows",
         "_group_by",
         "_digests",
-        "_verify",
         "_verified",
     )
 
@@ -646,7 +639,6 @@ class ShardedTable:
         shard_rows: int,
         group_by: str | None,
         digests: list[dict[str, str]],
-        verify: str = "lazy",
     ) -> None:
         self._root = root
         self._schema = schema
@@ -654,17 +646,10 @@ class ShardedTable:
         self._shard_rows = shard_rows
         self._group_by = group_by
         self._digests = digests
-        self._verify = verify
         self._verified: set[tuple[int, str]] = set()
 
     @classmethod
-    def open(
-        cls, root: str | Path, *, verify: str = "lazy"
-    ) -> "ShardedTable":
-        if verify not in VERIFY_MODES:
-            raise ValueError(
-                f"unknown verify mode {verify!r}; available: {VERIFY_MODES}"
-            )
+    def open(cls, root: str | Path) -> "ShardedTable":
         root = Path(root)
         if not root.is_dir():
             raise FileNotFoundError(f"no shard table at {root}")
@@ -704,11 +689,8 @@ class ShardedTable:
             shard_rows=int(manifest["shard_rows"]),
             group_by=manifest.get("group_by"),
             digests=digests,
-            verify=verify,
         )
         table._validate_structure()
-        if verify == "full":
-            table.verify_all()
         return table
 
     # -- integrity ---------------------------------------------------------
@@ -852,16 +834,15 @@ class ShardedTable:
         """One shard as a Table of memory-mapped columns.
 
         Column data is paged in lazily by the OS; slicing or reducing a
-        column touches only that column's pages. Under ``verify="lazy"``
-        the first read of each column file pays one digest pass first.
+        column touches only that column's pages. The first read of each
+        column file pays one digest pass first.
         """
         if not 0 <= index < len(self._counts):
             raise IndexError(
                 f"shard index {index} out of range [0, {len(self._counts)})"
             )
         names = self._select(columns)
-        if self._verify == "lazy":
-            self.verify_shard(index, names)
+        self.verify_shard(index, names)
         shard_dir = self._root / _shard_name(index)
         return Table(
             {

@@ -23,15 +23,9 @@ from .queues import (
     running_state_durations,
     task_spans,
 )
-from .series import (
-    MachineLoadSeries,
-    all_machine_series,
-    grouped_machine_series,
-    machine_series,
-)
+from .series import MachineLoadSeries, all_machine_series, machine_series
 
 __all__ = [
-    "grouped_machine_series",
     "FEATURE_NAMES",
     "LevelDurationStats",
     "LevelSnapshot",

@@ -3,7 +3,10 @@
 Covers Fig. 10 (load-level snapshot of sampled machines over time) and
 Tables II-III (statistics of how long CPU/memory stay in the same
 one-fifth usage level), plus the usage-sample pools behind the
-mass-count disparity of Figs. 11-12.
+mass-count disparity of Figs. 11-12. Durations are segmented for all
+machines in one run-length pass (:mod:`repro.core.kernels`); the
+machine-at-a-time loop it replaced is the tests' golden reference
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from ..core import kernels
 from ..core.masscount import MassCount, mass_count
-from ..core.segments import DEFAULT_USAGE_LEVELS, discretize, level_durations
+from ..core.segments import DEFAULT_USAGE_LEVELS, discretize
 from .series import MachineLoadSeries
 
 __all__ = [
@@ -99,9 +102,9 @@ def pooled_level_durations(
     """Unchanged-level durations pooled over all machines.
 
     Runs the one-pass run-length kernel over all machines' concatenated
-    series — bit-identical to the per-machine scalar loop
-    (:func:`_pooled_level_durations_scalar`), which is kept as the
-    golden reference.
+    series — bit-identical to segmenting one machine at a time with
+    :func:`repro.core.segments.level_durations`, the scalar loop that
+    ``tests/oracles.py`` keeps as the golden reference.
     """
     n_levels = len(np.asarray(edges)) - 1
     if not series:
@@ -119,25 +122,6 @@ def pooled_level_durations(
         np.concatenate([s.absolute(attribute) for s in pool]) / caps, 0.0, 1.0
     )
     return kernels.pooled_level_durations(times, values, lengths, edges)
-
-
-def _pooled_level_durations_scalar(
-    series: dict[int, MachineLoadSeries],
-    attribute: str = "cpu",
-    edges: np.ndarray = DEFAULT_USAGE_LEVELS,
-) -> dict[int, np.ndarray]:
-    """Golden scalar reference: segment one machine at a time."""
-    n_levels = len(np.asarray(edges)) - 1
-    pools: dict[int, list[np.ndarray]] = {lvl: [] for lvl in range(n_levels)}
-    for s in series.values():
-        per_machine = level_durations(s.times, s.relative(attribute), edges)
-        for lvl, durations in per_machine.items():
-            if durations.size:
-                pools[lvl].append(durations)
-    return {
-        lvl: (np.concatenate(chunks) if chunks else np.empty(0))
-        for lvl, chunks in pools.items()
-    }
 
 
 def duration_stats_by_level(

@@ -4,6 +4,10 @@ A :class:`MachineLoadSeries` is the unit of analysis for Section IV:
 time-aligned CPU/memory/page-cache samples of one machine, in both
 absolute (largest-machine) units and relative (per-capacity) load
 levels, with the mid+high and high priority splits the paper uses.
+:func:`all_machine_series` extracts every machine's series in one
+grouped pass; :func:`machine_series` extracts one machine's, and
+looping it over the fleet is the scalar reference the grouped pass is
+held to bit for bit (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ __all__ = [
     "MachineLoadSeries",
     "machine_series",
     "all_machine_series",
-    "grouped_machine_series",
 ]
 
 
@@ -142,20 +145,14 @@ def machine_series(
 def all_machine_series(
     machine_usage: Table, machines: Table
 ) -> dict[int, MachineLoadSeries]:
-    """Series for every machine (thin wrapper over the grouped kernel)."""
-    return grouped_machine_series(machine_usage, machines)
-
-
-def grouped_machine_series(
-    machine_usage: Table, machines: Table
-) -> dict[int, MachineLoadSeries]:
     """Every machine's series via one ``argsort``+``np.split`` pass.
 
-    One stable lexsort by (machine, time) replaces the per-machine
-    filter-and-sort scan (which was O(machines x rows)); per-machine
-    columns are views into the gathered arrays. The result dict is in
-    machines-table order and bit-identical to the scalar path
-    (:func:`_all_machine_series_scalar`).
+    One stable lexsort by (machine, time) replaces a per-machine
+    filter-and-sort scan (O(machines x rows)); per-machine columns are
+    views into the gathered arrays. The result dict is in
+    machines-table order and bit-identical to calling
+    :func:`machine_series` for each machine with samples, the scalar
+    path that ``tests/oracles.py`` keeps as the golden reference.
     """
     unique_ids, cols = grouped_sort_split(
         machine_usage, "machine_id", within="time"
@@ -183,21 +180,4 @@ def grouped_machine_series(
             mem_high=cols["mem_high"][slot],
             n_running=cols["n_running"][slot],
         )
-    return out
-
-
-def _all_machine_series_scalar(
-    machine_usage: Table, machines: Table
-) -> dict[int, MachineLoadSeries]:
-    """Golden scalar reference: filter the full table once per machine.
-
-    O(machines x rows) — kept only so golden tests and ``repro-bench``
-    can compare the grouped kernel against the original path.
-    """
-    out: dict[int, MachineLoadSeries] = {}
-    for machine_id in machines["machine_id"]:  # reprolint: disable=REP502
-        mid = int(machine_id)
-        if not (machine_usage["machine_id"] == mid).any():
-            continue
-        out[mid] = machine_series(machine_usage, machines, mid)
     return out

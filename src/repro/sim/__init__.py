@@ -1,7 +1,7 @@
 """Event-driven cluster simulator (the paper's Section II model)."""
 
 from .churn import ChurnModel, MachineOutage, sample_outages
-from .cluster import ENGINES, ClusterSimulator, SimConfig, SimResult
+from .cluster import ClusterSimulator, SimConfig, SimResult
 from .constraints import Constraint, ConstraintModel, generate_attribute_matrix
 from .engine import EventQueue
 from .failures import FailureModel
@@ -13,14 +13,8 @@ from .monitor import (
     MonitorConfig,
     UsageMonitor,
 )
-from .scheduler import (
-    PLACEMENT_POLICIES,
-    PendingQueue,
-    choose_machine,
-    choose_machine_columns,
-)
-from .soa import run_soa
-from .task import SimTask, TaskColumns
+from .scheduler import PLACEMENT_POLICIES, choose_machine_columns
+from .task import TaskColumns
 
 __all__ = [
     "CLUSTER_SERIES_SCHEMA",
@@ -28,7 +22,6 @@ __all__ = [
     "ClusterSimulator",
     "Constraint",
     "ConstraintModel",
-    "ENGINES",
     "EventQueue",
     "FailureModel",
     "FleetState",
@@ -36,16 +29,12 @@ __all__ = [
     "MachineOutage",
     "MonitorConfig",
     "PLACEMENT_POLICIES",
-    "PendingQueue",
     "SimConfig",
     "SimResult",
-    "SimTask",
     "TaskColumns",
     "UsageMonitor",
-    "choose_machine",
     "choose_machine_columns",
     "generate_attribute_matrix",
     "jobs_from_events",
-    "run_soa",
     "sample_outages",
 ]

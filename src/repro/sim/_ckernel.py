@@ -1,14 +1,15 @@
 """Optional compiled hot loop for the SoA engine (cffi + gcc).
 
-The pure-Python SoA engine in :mod:`repro.sim.soa` is the portable
-fast path; this module compiles ``_kernel.c`` — a literal C
-transcription of the same event loop — when a C compiler and ``cffi``
-are available, for another order of magnitude. Everything is gated:
+The Python loop of :mod:`repro.sim.soa` is the portable path of
+``ClusterSimulator.run`` and this kernel's oracle; this module compiles
+``_kernel.c`` — a literal C transcription of the same event loop — when
+a C compiler and ``cffi`` are available, for another order of
+magnitude. Everything is gated:
 
 * Build failures, a missing compiler, or a missing ``cffi`` simply
-  disable the kernel (``load()`` returns None) and the Python engine
-  runs instead. Set ``REPRO_SIM_PURE_PYTHON=1`` to force that off
-  switch.
+  disable the kernel (``load()`` returns None) and the Python loop
+  runs instead. ``REPRO_SIM_PURE_PYTHON=1`` is the one switch that
+  turns the kernel off on a machine that has it.
 * The kernel reimplements PCG64 (XSL-RR 128/64) for its scalar
   uniform draws. ``load()`` verifies the C stream against
   ``numpy.random.Generator.random`` bit for bit before accepting the
@@ -16,7 +17,7 @@ are available, for another order of magnitude. Everything is gated:
   itself rather than silently diverge.
 * :func:`try_run` returns None for configurations the kernel does not
   cover (non-PCG64 bit generators, the ``random`` placement policy,
-  ``FailureModel`` subclasses), falling back to the Python engine.
+  more than 8 refate probabilities), falling back to the Python loop.
 
 Builds are cached under ``$XDG_CACHE_HOME/repro-ckernel/<hash>`` keyed
 by the C source, so the compile cost is paid once per source change.
@@ -41,7 +42,6 @@ import numpy as np
 from ..core.table import Table
 from ..traces.schema import TASK_EVENT_SCHEMA, TaskEvent
 from .churn import sample_outages
-from .failures import FailureModel
 from .machine import FleetState
 from .monitor import UsageMonitor
 from .task import TaskColumns
@@ -172,8 +172,6 @@ def try_run(sim, requests, horizon: float):
     """
     config = sim.config
     if config.placement not in _POLICIES:
-        return None
-    if type(config.failures) is not FailureModel:
         return None
     rng = sim.rng
     if type(rng.bit_generator).__name__ != "PCG64":

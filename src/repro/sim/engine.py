@@ -12,9 +12,9 @@ pushed *while a batch is being processed* sorts strictly after the
 whole batch — so interleaving ``pop_batch`` with pushes preserves the
 exact global ``(time, seq)`` processing order of one-at-a-time pops.
 
-Both Python engines use this one queue: the scalar reference pops one
-event at a time, the SoA engine (:mod:`repro.sim.soa`) drains a
-timestamp per :meth:`~EventQueue.pop_batch` call.
+The engine's Python loop (:mod:`repro.sim.soa`) drains a timestamp per
+:meth:`~EventQueue.pop_batch` call; the scalar oracle the tests hold it
+to (``tests/oracles.py``) pops one event at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Any
 
 __all__ = ["EventQueue"]
 
-#: Event kinds shared by the scalar and SoA engines. ``ARRIVAL`` is
+#: Event kinds of the simulator's event queue. ``ARRIVAL`` is
 #: reserved (arrivals are merged from the pre-sorted request stream,
 #: not queued); the rest appear as ``kind`` values on queue entries.
 ARRIVAL, COMPLETE, TICK, MACHINE_DOWN, MACHINE_UP = 0, 1, 2, 3, 4

@@ -2,26 +2,32 @@
 
 The workload generator assigns every task instance a *fate* (finish,
 fail, kill, lost — eviction instead happens mechanistically through
-preemption). This module decides the effective run time for each fate
-and whether a dead task is resubmitted, reproducing the paper's
-Sec. IV.B.1 event mix: ~59% of the 44M completion events are abnormal,
-dominated by fail (~50% of abnormal) and kill (~30.7%).
+preemption). This module holds the parameters that decide the
+effective run time for each fate and whether a dead task is
+resubmitted, reproducing the paper's Sec. IV.B.1 event mix: ~59% of the
+44M completion events are abnormal, dominated by fail (~50% of
+abnormal) and kill (~30.7%). The engine (:mod:`repro.sim.soa` and its
+C kernel) makes each draw with one ``rng.random()`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..traces.schema import TaskEvent
-
 __all__ = ["FailureModel"]
 
 
 @dataclass(frozen=True)
 class FailureModel:
-    """Run-fraction ranges per fate plus resubmission policy."""
+    """Run-fraction ranges per fate plus resubmission policy.
+
+    A task fated to fail, be killed, be lost or be evicted runs a
+    uniform draw from its fate's ``(lo, hi)`` fraction of its duration;
+    a finishing task runs all of it. Failed and evicted tasks retry
+    with probability ``resubmit_prob`` up to ``max_resubmits`` times,
+    each retry with a fate redrawn from ``refate_probs``; killed and
+    lost tasks do not come back (the user gave up / the data is gone).
+    """
 
     fail_fraction: tuple[float, float] = (0.02, 0.9)
     kill_fraction: tuple[float, float] = (0.02, 1.0)
@@ -59,41 +65,3 @@ class FailureModel:
         total = sum(p for _, p in self.refate_probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"refate_probs must sum to 1, got {total}")
-
-    def redraw_fate(self, rng: np.random.Generator) -> int:
-        """Draw an i.i.d. fate for a resubmitted incarnation."""
-        names = [name for name, _ in self.refate_probs]
-        probs = [p for _, p in self.refate_probs]
-        pick = names[int(rng.choice(len(names), p=probs))]
-        return int(TaskEvent[pick.upper()])
-
-    def run_time(
-        self, fate: int, duration: float, rng: np.random.Generator
-    ) -> float:
-        """Wall-clock the task actually runs before its terminal event."""
-        if fate == int(TaskEvent.FINISH):
-            return duration
-        if fate == int(TaskEvent.FAIL):
-            lo, hi = self.fail_fraction
-        elif fate == int(TaskEvent.KILL):
-            lo, hi = self.kill_fraction
-        elif fate == int(TaskEvent.LOST):
-            lo, hi = self.lost_fraction
-        elif fate == int(TaskEvent.EVICT):
-            lo, hi = self.evict_fraction
-        else:
-            raise ValueError(f"fate {fate} has no run-time rule")
-        return duration * rng.uniform(lo, hi)
-
-    def resubmits(self, fate: int, resubmits_so_far: int, rng: np.random.Generator) -> bool:
-        """Whether a dead task re-enters the pending queue.
-
-        Failed and evicted tasks retry with probability
-        ``resubmit_prob`` up to ``max_resubmits`` times; killed and lost
-        tasks do not come back (the user gave up / the data is gone).
-        """
-        if resubmits_so_far >= self.max_resubmits:
-            return False
-        if fate in (int(TaskEvent.FAIL), int(TaskEvent.EVICT)):
-            return bool(rng.uniform() < self.resubmit_prob)
-        return False

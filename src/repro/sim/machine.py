@@ -2,7 +2,8 @@
 
 All per-machine quantities live in flat NumPy arrays indexed by machine
 position, so placement decisions and the 5-minute monitor are fully
-vectorized; task start/stop update the aggregates in O(1).
+vectorized. The engine (:mod:`repro.sim.soa`, or its C kernel) owns
+task start/stop and writes these arrays; the monitor reads them.
 
 Units: capacities and usages are normalized to the *largest* machine in
 the cluster, exactly like the released Google trace. Relative (per-
@@ -14,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.table import Table
-from .task import SimTask
 
 __all__ = ["FleetState"]
 
@@ -47,98 +47,7 @@ class FleetState:
         self.n_running = np.zeros(n, dtype=np.int64)
         # Machine availability (churn): down machines accept no tasks.
         self.available = np.ones(n, dtype=bool)
-        # Running-task registries (needed to pick eviction victims).
-        self.running: list[dict[tuple[int, int], SimTask]] = [dict() for _ in range(n)]
 
     @property
     def num_machines(self) -> int:
         return len(self.machine_ids)
-
-    def fits(self, m: int, task: SimTask) -> bool:
-        return (
-            self.free_cpu[m] >= task.cpu_request
-            and self.free_mem[m] >= task.mem_request
-        )
-
-    def candidates(self, task: SimTask) -> np.ndarray:
-        """Boolean mask of machines that can host the task right now."""
-        return (
-            (self.free_cpu >= task.cpu_request)
-            & (self.free_mem >= task.mem_request)
-            & self.available
-        )
-
-    def start(self, m: int, task: SimTask) -> None:
-        """Account a task starting on machine ``m``."""
-        key = (task.job_id, task.task_index)
-        if key in self.running[m]:
-            raise RuntimeError(f"task {key} already running on machine {m}")
-        self.free_cpu[m] -= task.cpu_request
-        self.free_mem[m] -= task.mem_request
-        self.cpu_base[m] += task.cpu_eff
-        self.mem_base[m] += task.mem_eff
-        self.mem_assigned[m] += task.mem_request
-        self.page_base[m] += task.page_cache
-        self.cpu_band[m, task.band] += task.cpu_eff
-        self.mem_band[m, task.band] += task.mem_eff
-        self.n_running[m] += 1
-        self.running[m][key] = task
-
-    def stop(self, m: int, task: SimTask) -> None:
-        """Account a task leaving machine ``m`` (completion or eviction)."""
-        key = (task.job_id, task.task_index)
-        if self.running[m].pop(key, None) is None:
-            raise RuntimeError(f"task {key} not running on machine {m}")
-        self.free_cpu[m] += task.cpu_request
-        self.free_mem[m] += task.mem_request
-        self.cpu_base[m] -= task.cpu_eff
-        self.mem_base[m] -= task.mem_eff
-        self.mem_assigned[m] -= task.mem_request
-        self.page_base[m] -= task.page_cache
-        self.cpu_band[m, task.band] -= task.cpu_eff
-        self.mem_band[m, task.band] -= task.mem_eff
-        self.n_running[m] -= 1
-        # Clamp tiny negative residue from float cancellation. Every
-        # aggregate that is a sum over running tasks must be clamped, not
-        # just the free columns: over millions of start/stop pairs the
-        # usage aggregates accumulate the same cancellation residue, and
-        # the monitor would sample (and record) the negative values.
-        for arr in (
-            self.free_cpu,
-            self.free_mem,
-            self.cpu_base,
-            self.mem_base,
-            self.mem_assigned,
-            self.page_base,
-        ):
-            if -1e-12 < arr[m] < 0:
-                arr[m] = 0.0
-        band = task.band
-        for arr in (self.cpu_band, self.mem_band):
-            if -1e-12 < arr[m, band] < 0:
-                arr[m, band] = 0.0
-
-    def eviction_victims(
-        self, m: int, task: SimTask
-    ) -> list[SimTask] | None:
-        """Lowest-priority running tasks whose eviction would fit ``task``.
-
-        Returns None when even evicting every lower-priority task would
-        not free enough resources.
-        """
-        need_cpu = task.cpu_request - self.free_cpu[m]
-        need_mem = task.mem_request - self.free_mem[m]
-        lower = [
-            t for t in self.running[m].values() if t.priority < task.priority
-        ]
-        lower.sort(key=lambda t: (t.priority, -t.start_time))
-        victims: list[SimTask] = []
-        for victim in lower:
-            if need_cpu <= 0 and need_mem <= 0:
-                break
-            victims.append(victim)
-            need_cpu -= victim.cpu_request
-            need_mem -= victim.mem_request
-        if need_cpu > 0 or need_mem > 0:
-            return None
-        return victims

@@ -1,8 +1,9 @@
-"""Priority scheduler: 12 levels, FCFS within a level, preemption.
+"""Placement policies of the priority scheduler.
 
-Implements the paper's Section II model: higher-priority tasks are
-processed first and may preempt lower-priority ones; ties are broken
-first-come-first-serve. Placement picks the "best" machine under a
+In the paper's Section II model, higher-priority tasks are processed
+first and may preempt lower-priority ones, and ties are broken
+first-come-first-serve; the engine (:mod:`repro.sim.soa`) runs that
+queue. Placement picks the "best" machine for one task under a
 pluggable policy — the default ``balance`` spreads load to minimize
 peak demand, matching the paper's description of Google's scheduler;
 ``best_fit``, ``first_fit`` and ``random`` exist for the ablation
@@ -11,88 +12,11 @@ benchmarks.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from .machine import FleetState
-from .task import SimTask
-
-__all__ = [
-    "PendingQueue",
-    "choose_machine",
-    "choose_machine_columns",
-    "PLACEMENT_POLICIES",
-]
+__all__ = ["choose_machine_columns", "PLACEMENT_POLICIES"]
 
 PLACEMENT_POLICIES = ("balance", "best_fit", "first_fit", "random")
-
-
-class PendingQueue:
-    """Pending tasks ordered by (priority desc, arrival asc)."""
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, SimTask]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, task: SimTask) -> None:
-        heapq.heappush(self._heap, (-task.priority, self._seq, task))
-        self._seq += 1
-
-    def pop(self) -> SimTask:
-        return heapq.heappop(self._heap)[2]
-
-    def peek(self) -> SimTask:
-        return self._heap[0][2]
-
-
-def choose_machine(
-    fleet: FleetState,
-    task: SimTask,
-    policy: str,
-    rng: np.random.Generator,
-) -> int:
-    """Pick a machine for the task, or -1 when nothing fits.
-
-    Tasks carrying placement constraints (``task.allowed_mask``) are
-    only offered machines inside their mask.
-
-    Policies
-    --------
-    balance:
-        The paper's model — among fitting machines choose the one with
-        the most free CPU relative to capacity, balancing demand across
-        the fleet and minimizing peak load.
-    best_fit:
-        Tightest fit: least free CPU that still fits (bin-packing).
-    first_fit:
-        Lowest machine index that fits.
-    random:
-        Uniform among fitting machines.
-    """
-    mask = fleet.candidates(task)
-    if task.allowed_mask is not None:
-        mask &= task.allowed_mask
-    if not mask.any():
-        return -1
-    idx = np.flatnonzero(mask)
-    if policy == "balance":
-        score = fleet.free_cpu[idx] / fleet.cpu_capacity[idx]
-        return int(idx[np.argmax(score)])
-    if policy == "best_fit":
-        return int(idx[np.argmin(fleet.free_cpu[idx])])
-    if policy == "first_fit":
-        return int(idx[0])
-    if policy == "random":
-        return int(rng.choice(idx))
-    raise ValueError(
-        f"unknown placement policy {policy!r}; choose from {PLACEMENT_POLICIES}"
-    )
 
 
 def choose_machine_columns(
@@ -106,14 +30,25 @@ def choose_machine_columns(
     policy: str,
     rng: np.random.Generator,
 ) -> int:
-    """Column-level twin of :func:`choose_machine` for the SoA engine.
+    """Pick a machine for a task from the fleet's columns, or -1.
 
-    Same decision, bit for bit, given the same fleet state: the
-    candidate mask, the scores, and the tie-break (NumPy's first-index
-    argmax/argmin) replicate :func:`choose_machine` exactly — this
-    variant just reads raw arrays instead of a ``FleetState``/
-    :class:`~repro.sim.task.SimTask` pair, so the batch-admission path
-    can call it without materializing per-task objects.
+    Candidates are the available machines with enough free CPU and
+    memory, inside ``allowed_mask`` when the task carries placement
+    constraints. Ties go to the lowest index (NumPy's first-index
+    argmax/argmin).
+
+    Policies
+    --------
+    balance:
+        The paper's model — among fitting machines choose the one with
+        the most free CPU relative to capacity, balancing demand across
+        the fleet and minimizing peak load.
+    best_fit:
+        Tightest fit: least free CPU that still fits (bin-packing).
+    first_fit:
+        Lowest machine index that fits.
+    random:
+        Uniform among fitting machines.
     """
     mask = (free_cpu >= cpu_request) & (free_mem >= mem_request) & available
     if allowed_mask is not None:

@@ -1,8 +1,9 @@
-"""Structure-of-arrays fast engine for :class:`ClusterSimulator`.
+"""Structure-of-arrays engine behind :meth:`ClusterSimulator.run`.
 
-Same model, same decisions, same bits — only faster. The scalar engine
-in :mod:`repro.sim.cluster` stays as the golden reference; this module
-re-implements its event loop with the per-event object costs stripped:
+The library's one simulator engine. It reproduces, bit for bit, the
+scalar object-per-task engine it replaced (kept as the tests' oracle,
+``tests.oracles.run_scalar``), with the per-event object costs
+stripped:
 
 * **SoA task state.** Immutable per-task columns live in one
   :class:`~repro.sim.task.TaskColumns` block; the mutable state
@@ -16,22 +17,26 @@ re-implements its event loop with the per-event object costs stripped:
   columns: for the ``balance`` policy a per-machine relative-free-CPU
   ``score`` array is updated on every start/stop and the hot path is a
   single masked-argmax probe (falling back to the literal
-  :func:`~repro.sim.scheduler.choose_machine_columns` twin whenever the
-  probe machine is ineligible), so a same-timestamp run of arrivals and
-  the ``drain_pending`` sweep cost one argmax per admitted task instead
-  of one full candidate scan. FCFS-per-priority head-of-line order is
-  untouched: tasks are still admitted one at a time in exactly the
-  scalar engine's order; only the per-decision cost changes.
+  :func:`~repro.sim.scheduler.choose_machine_columns` decision whenever
+  the probe machine is ineligible), so a same-timestamp run of arrivals
+  and the ``drain_pending`` sweep cost one argmax per admitted task
+  instead of one full candidate scan. FCFS-per-priority head-of-line
+  order is untouched: tasks are still admitted one at a time in
+  exactly the scalar engine's order; only the per-decision cost
+  changes.
 
-The event queue is the scalar engine's binary-heap
-:class:`~repro.sim.engine.EventQueue`, drained one timestamp at a time
-with :meth:`~repro.sim.engine.EventQueue.pop_batch`.
+The event queue is the binary-heap :class:`~repro.sim.engine.EventQueue`,
+drained one timestamp at a time with
+:meth:`~repro.sim.engine.EventQueue.pop_batch`. When the compiled
+kernel (:mod:`repro.sim._ckernel`) is built and covers the config,
+:func:`run_soa` hands the whole run to it; the Python loop below is the
+path for machines without a compiler and the kernel's own oracle.
 
 Why the results are byte-identical:
 
 * Fleet accounting runs on Python floats. CPython floats and NumPy
   float64 are the same IEEE-754 doubles, and the update expressions
-  (including the residue clamps in :meth:`FleetState.stop`) are
+  (including the scalar engine's residue clamps on stop) are
   transcribed literally, so every intermediate value matches bit for
   bit. The NumPy ``FleetState`` arrays are re-synced from the lists
   right before each monitor tick, so the monitor draws noise from
@@ -56,7 +61,7 @@ Why the results are byte-identical:
 The golden-equivalence suite (tests/test_sim_soa.py) pins all of this:
 seeds x placement policies x preemption x churn x constraints, all
 four ``SimResult`` tables compared for equality, counts and final RNG
-state included.
+state included, for the C kernel and the Python loop alike.
 """
 
 from __future__ import annotations
@@ -91,16 +96,13 @@ _FINISH = int(TaskEvent.FINISH)
 _NEG_INF = float("-inf")
 
 
-def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
-    """Run the SoA engine; same contract as ``ClusterSimulator.run``.
+def run_soa(sim, requests, horizon: float):
+    """The body of ``ClusterSimulator.run`` for the simulator ``sim``.
 
-    ``sim`` is the :class:`~repro.sim.cluster.ClusterSimulator`
-    delegating to us (its ``run`` validated ``horizon`` and resolved
-    the engine choice already, but validation is repeated so direct
-    callers get the same errors). When ``allow_kernel`` is true and the
-    compiled hot loop (:mod:`repro.sim._ckernel`) is available and
-    covers the configuration, it runs instead of the Python loop —
-    same decisions, same bits, another order of magnitude faster.
+    Validates ``horizon`` and the failure model's type, then runs the
+    compiled hot loop (:mod:`repro.sim._ckernel`) when it is available
+    and covers the configuration (same decisions, same bits, another
+    order of magnitude faster), and the Python loop below otherwise.
     """
     from .cluster import SimResult  # circular at import time
 
@@ -110,16 +112,14 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
     failures = config.failures
     if type(failures) is not FailureModel:
         raise TypeError(
-            "run_soa inlines FailureModel's draws and cannot honor a "
-            f"subclass override ({type(failures).__name__}); use the "
-            "scalar engine"
+            "the simulator inlines FailureModel's draws and cannot honor "
+            f"a subclass override ({type(failures).__name__})"
         )
-    if allow_kernel:
-        from . import _ckernel
+    from . import _ckernel
 
-        result = _ckernel.try_run(sim, requests, horizon)
-        if result is not None:
-            return result
+    result = _ckernel.try_run(sim, requests, horizon)
+    if result is not None:
+        return result
     rng = sim.rng
     policy = config.placement
     fleet = FleetState(sim.machines)
@@ -142,7 +142,7 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
     mem_eff = cols.mem_eff.tolist()
     page_cache = cols.page_cache.tolist()
 
-    # -- mutable per-task state (the SimTask fields, columnar) --------------
+    # -- mutable per-task state (the scalar task's fields, columnar) --------
     state = [_PENDING] * n_tasks
     machine = [-1] * n_tasks
     incarnation = [0] * n_tasks
@@ -300,7 +300,7 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
         # preallocated scratch. min(fc-c, fm-m) >= 0 is IEEE-exact for
         # (fc >= c) & (fm >= m): a floating-point difference is never
         # rounded across zero (Sterbenz), so the candidate mask matches
-        # choose_machine's bit for bit.
+        # the scalar engine's bit for bit.
         np.subtract(free_cpu_np, cpu_r, out=_t1)
         np.subtract(free_mem_np, mem_r, out=_t2)
         np.minimum(_t1, _t2, out=_t1)
@@ -374,8 +374,9 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
         key = (job[row], tidx[row])
         if running[m].pop(key, None) is None:
             raise RuntimeError(f"task {key} not running on machine {m}")
-        # Clamp float-cancellation residue, exactly like FleetState.stop
-        # (each field is independent, so clamping the temp is the same).
+        # Clamp float-cancellation residue, exactly like the scalar
+        # engine's stop (each field is independent, so clamping the
+        # temp is the same).
         fc = free_cpu[m] + cpu_req[row]
         if fc < 0 and fc > -1e-12:
             fc = 0.0
@@ -431,9 +432,9 @@ def run_soa(sim, requests, horizon: float, *, allow_kernel: bool = True):
             state[row] = _DEAD
 
     def _find_preemption(row: int) -> tuple[int, list[int]]:
-        # Mirrors ClusterSimulator._find_preemption +
-        # FleetState.eviction_victims on the SoA state (the mirrors hold
-        # the exact doubles the scalar engine's FleetState would).
+        # Mirrors the scalar engine's preemption scan and victim choice
+        # on the SoA state (the mirrors hold the exact doubles the
+        # scalar engine's fleet would).
         order = np.argsort(-(free_cpu_np / cap_np), kind="stable")
         mask = allowed[row]
         p = prio[row]

@@ -1,12 +1,11 @@
-"""Per-task-instance state for the simulator.
+"""Per-task columns for the simulator.
 
-A :class:`SimTask` is one submission lineage of a task: resubmissions
-after failure or eviction reuse the same object, bumping its
-``incarnation`` so stale completion events can be recognized and
-dropped (lazy cancellation). The scalar golden-reference engine
-materializes one ``SimTask`` per request; the fast engine instead keeps
-every per-task quantity in :class:`TaskColumns` — one structure-of-
-arrays block built once per run — and refers to tasks by row index.
+The engine keeps every immutable per-task quantity in
+:class:`TaskColumns` — one structure-of-arrays block built once per
+run — and refers to tasks by row index. One row is one submission
+lineage: resubmissions after failure or eviction reuse the row, bumping
+its incarnation so stale completion events can be recognized and
+dropped (lazy cancellation).
 """
 
 from __future__ import annotations
@@ -15,16 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..traces.schema import TaskState, priority_band_array
+from ..traces.schema import priority_band_array
 
-__all__ = ["SimTask", "TaskColumns"]
+__all__ = ["TaskColumns"]
 
 
 @dataclass(frozen=True)
 class TaskColumns:
     """Immutable structure-of-arrays view of a request stream.
 
-    One row per submission lineage, in arrival order. The fast engine
+    One row per submission lineage, in arrival order. The engine
     keeps its *mutable* per-task state (state, machine, incarnation,
     resubmit count, fate, start time) in plain per-row sequences of its
     own; these columns carry everything that never changes after
@@ -73,74 +72,3 @@ class TaskColumns:
     def __len__(self) -> int:
         return len(self.submit_time)
 
-
-class SimTask:
-    """Mutable runtime state of one task lineage."""
-
-    __slots__ = (
-        "job_id",
-        "task_index",
-        "priority",
-        "band",
-        "cpu_request",
-        "mem_request",
-        "duration",
-        "cpu_eff",
-        "mem_eff",
-        "page_cache",
-        "fate",
-        "state",
-        "machine",
-        "incarnation",
-        "resubmits",
-        "submit_time",
-        "start_time",
-        "constraints",
-        "allowed_mask",
-    )
-
-    def __init__(
-        self,
-        job_id: int,
-        task_index: int,
-        priority: int,
-        band: int,
-        cpu_request: float,
-        mem_request: float,
-        duration: float,
-        cpu_eff: float,
-        mem_eff: float,
-        page_cache: float,
-        fate: int,
-        submit_time: float,
-    ) -> None:
-        self.job_id = job_id
-        self.task_index = task_index
-        self.priority = priority
-        self.band = band
-        self.cpu_request = cpu_request
-        self.mem_request = mem_request
-        self.duration = duration
-        # Effective (actual) usage while running, already scaled by the
-        # task's utilization factor; in largest-machine units.
-        self.cpu_eff = cpu_eff
-        self.mem_eff = mem_eff
-        self.page_cache = page_cache
-        self.fate = fate
-        self.state = TaskState.PENDING
-        self.machine = -1
-        self.incarnation = 0
-        self.resubmits = 0
-        self.submit_time = submit_time
-        self.start_time = -1.0
-        # Placement constraints (repro.sim.constraints): the tuple of
-        # Constraint objects and the precomputed machine mask, or None
-        # when the task is unconstrained.
-        self.constraints: tuple = ()
-        self.allowed_mask = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimTask(job={self.job_id}, idx={self.task_index}, "
-            f"prio={self.priority}, state={self.state.name})"
-        )

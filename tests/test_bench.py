@@ -1,4 +1,4 @@
-"""Tests for the repro-bench harness (snapshots, regression policy, CLI)."""
+"""Tests for the kernel benchmark (snapshots, regression policy, CLI)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.bench import (
+from benchmarks.kernels import (
     _sticky_series,
     _synthetic_usage,
     compare_snapshots,

@@ -135,13 +135,11 @@ class TestConstrainedSimulation:
             config=GoogleConfig(busy_window=None),
             tasks_per_hour=40.0,
         )
-        from repro.sim.cluster import _build_tasks
-        from repro.sim.scheduler import choose_machine
-        from repro.sim.machine import FleetState
+        from tests.oracles import FleetState, build_tasks, choose_machine
 
         fleet = FleetState(machines)
         sim_rng = np.random.default_rng(14)
-        for task in _build_tasks(requests)[:100]:
+        for task in build_tasks(requests)[:100]:
             task.constraints = model.sample_constraints(sim_rng)
             if task.constraints:
                 task.allowed_mask = model.satisfying_mask(task.constraints)

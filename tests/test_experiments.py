@@ -482,7 +482,8 @@ class TestShardedCacheRecovery:
         cache = DiskCache(tmp_path)
         keys = cache.entries()
         assert len(keys) == 1
-        table = ShardedTable.open(cache.get_path(keys[0]), verify="full")
+        table = ShardedTable.open(cache.get_path(keys[0]))
+        table.verify_all()
         np.testing.assert_array_equal(
             table.to_table()["x"], np.arange(50_000, dtype=np.float64)
         )

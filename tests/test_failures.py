@@ -1,10 +1,11 @@
-"""Unit tests for the failure model."""
+"""Unit tests for the failure model and the scalar oracle's draws from it."""
 
 import numpy as np
 import pytest
 
 from repro.sim.failures import FailureModel
 from repro.traces.schema import TaskEvent
+from tests.oracles import redraw_fate, resubmits, run_time
 
 
 @pytest.fixture
@@ -15,7 +16,7 @@ def rng():
 class TestRunTime:
     def test_finish_runs_full(self, rng):
         model = FailureModel()
-        assert model.run_time(int(TaskEvent.FINISH), 100.0, rng) == 100.0
+        assert run_time(model, int(TaskEvent.FINISH), 100.0, rng) == 100.0
 
     @pytest.mark.parametrize(
         "fate",
@@ -24,17 +25,17 @@ class TestRunTime:
     def test_abnormal_runs_partial(self, rng, fate):
         model = FailureModel()
         for _ in range(20):
-            rt = model.run_time(int(fate), 100.0, rng)
+            rt = run_time(model, int(fate), 100.0, rng)
             assert 0 < rt <= 100.0
 
     def test_unknown_fate_rejected(self, rng):
         model = FailureModel()
         with pytest.raises(ValueError):
-            model.run_time(int(TaskEvent.SUBMIT), 100.0, rng)
+            run_time(model, int(TaskEvent.SUBMIT), 100.0, rng)
 
     def test_fraction_bounds_respected(self, rng):
         model = FailureModel(fail_fraction=(0.5, 0.5))
-        assert model.run_time(int(TaskEvent.FAIL), 100.0, rng) == pytest.approx(
+        assert run_time(model, int(TaskEvent.FAIL), 100.0, rng) == pytest.approx(
             50.0
         )
 
@@ -42,38 +43,38 @@ class TestRunTime:
 class TestResubmission:
     def test_fail_resubmits_sometimes(self, rng):
         model = FailureModel(resubmit_prob=1.0)
-        assert model.resubmits(int(TaskEvent.FAIL), 0, rng)
+        assert resubmits(model, int(TaskEvent.FAIL), 0, rng)
         model = FailureModel(resubmit_prob=0.0)
-        assert not model.resubmits(int(TaskEvent.FAIL), 0, rng)
+        assert not resubmits(model, int(TaskEvent.FAIL), 0, rng)
 
     def test_kill_never_resubmits(self, rng):
         model = FailureModel(resubmit_prob=1.0)
-        assert not model.resubmits(int(TaskEvent.KILL), 0, rng)
-        assert not model.resubmits(int(TaskEvent.LOST), 0, rng)
-        assert not model.resubmits(int(TaskEvent.FINISH), 0, rng)
+        assert not resubmits(model, int(TaskEvent.KILL), 0, rng)
+        assert not resubmits(model, int(TaskEvent.LOST), 0, rng)
+        assert not resubmits(model, int(TaskEvent.FINISH), 0, rng)
 
     def test_evict_resubmits(self, rng):
         model = FailureModel(resubmit_prob=1.0)
-        assert model.resubmits(int(TaskEvent.EVICT), 0, rng)
+        assert resubmits(model, int(TaskEvent.EVICT), 0, rng)
 
     def test_max_resubmits_enforced(self, rng):
         model = FailureModel(resubmit_prob=1.0, max_resubmits=2)
-        assert model.resubmits(int(TaskEvent.FAIL), 1, rng)
-        assert not model.resubmits(int(TaskEvent.FAIL), 2, rng)
+        assert resubmits(model, int(TaskEvent.FAIL), 1, rng)
+        assert not resubmits(model, int(TaskEvent.FAIL), 2, rng)
 
 
 class TestRedrawFate:
     def test_distribution(self):
         rng = np.random.default_rng(1)
         model = FailureModel()
-        draws = [model.redraw_fate(rng) for _ in range(5000)]
+        draws = [redraw_fate(model, rng) for _ in range(5000)]
         finish_frac = draws.count(int(TaskEvent.FINISH)) / len(draws)
         assert finish_frac == pytest.approx(0.408, abs=0.03)
 
     def test_custom_refate(self):
         rng = np.random.default_rng(2)
         model = FailureModel(refate_probs=(("finish", 1.0),))
-        assert model.redraw_fate(rng) == int(TaskEvent.FINISH)
+        assert redraw_fate(model, rng) == int(TaskEvent.FINISH)
 
 
 class TestValidation:

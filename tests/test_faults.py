@@ -249,7 +249,7 @@ class TestShardFaultInjector:
             str(sharded.root), block=0, attempt=1
         )
         # Structural validation still passes; the digest check catches it.
-        reopened = ShardedTable.open(sharded.root, verify="lazy")
+        reopened = ShardedTable.open(sharded.root)
         from repro.core.shard import ShardIntegrityError
 
         with pytest.raises(ShardIntegrityError):

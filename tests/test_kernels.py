@@ -1,10 +1,10 @@
 """Golden equivalence tests: vectorized kernels vs scalar references.
 
 Every kernel in :mod:`repro.core.kernels` (and its call-site wrappers)
-promises **bit-identical** output to the scalar path it replaced. These
-tests run both implementations on seeded inputs — including the real
-monitor output of the tiny simulation — and compare exactly, not
-approximately.
+promises **bit-identical** output to the scalar path it replaced, kept
+in ``tests/oracles.py``. These tests run both implementations on seeded
+inputs — including the real monitor output of the tiny simulation —
+and compare exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from repro.core.segments import (
     level_durations,
 )
 from repro.core.table import Table
-from repro.hostload.levels import (
-    _pooled_level_durations_scalar,
-    pooled_level_durations as pooled_series_durations,
-)
-from repro.hostload.series import (
-    _all_machine_series_scalar,
-    grouped_machine_series,
+from repro.hostload.levels import pooled_level_durations as pooled_series_durations
+from repro.hostload.series import all_machine_series
+from tests.oracles import (
+    all_machine_series_scalar,
+    pooled_level_durations_scalar,
 )
 
 
@@ -124,10 +122,10 @@ class TestPooledLevelDurations:
             )
 
     def test_series_wrapper_matches_scalar(self, sim):
-        series = grouped_machine_series(sim.machine_usage, sim.machines)
+        series = all_machine_series(sim.machine_usage, sim.machines)
         for attribute in ("cpu", "mem", "page_cache", "cpu_mid_high"):
             fast = pooled_series_durations(series, attribute)
-            golden = _pooled_level_durations_scalar(series, attribute)
+            golden = pooled_level_durations_scalar(series, attribute)
             assert fast.keys() == golden.keys()
             for lvl in fast:
                 np.testing.assert_array_equal(fast[lvl], golden[lvl])
@@ -163,8 +161,8 @@ class TestGroupedSortSplit:
         assert cols["machine_id"] == []
 
     def test_machine_series_matches_scalar(self, sim):
-        fast = grouped_machine_series(sim.machine_usage, sim.machines)
-        golden = _all_machine_series_scalar(sim.machine_usage, sim.machines)
+        fast = all_machine_series(sim.machine_usage, sim.machines)
+        golden = all_machine_series_scalar(sim.machine_usage, sim.machines)
         assert list(fast) == list(golden)
         for mid, s in fast.items():
             g = golden[mid]

@@ -296,7 +296,7 @@ class TestSupervision:
         want = map_shards(clean, _sum_kernel)
         for jobs in (1, 2):
             got = map_shards(
-                ShardedTable.open(sharded.root, verify="lazy"),
+                ShardedTable.open(sharded.root),
                 _sum_kernel,
                 jobs=jobs,
                 config=Policy(retries=2),
@@ -311,7 +311,7 @@ class TestSupervision:
         data = bytearray(victim.read_bytes())
         data[-1] ^= 0xFF
         victim.write_bytes(bytes(data))
-        table = ShardedTable.open(sharded.root, verify="lazy")
+        table = ShardedTable.open(sharded.root)
         for jobs in (1, 2):
             with pytest.raises(ShardIntegrityError):
                 map_shards(
@@ -336,7 +336,7 @@ class TestSupervision:
 
         with pytest.raises(ShardIntegrityError):
             map_shards(
-                ShardedTable.open(sharded.root, verify="lazy"),
+                ShardedTable.open(sharded.root),
                 _sum_kernel,
                 jobs=2,
                 config=Policy(retries=2),

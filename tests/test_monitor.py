@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.sim.machine import FleetState
 from repro.sim.monitor import (
     CLUSTER_SERIES_SCHEMA,
     MACHINE_USAGE_SCHEMA,
     MonitorConfig,
     UsageMonitor,
 )
-from repro.sim.task import SimTask
 from repro.core.table import Table
+from tests.oracles import FleetState, SimTask
 
 
 def _fleet(n=3):

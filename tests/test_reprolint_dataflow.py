@@ -957,6 +957,29 @@ class TestProjectGraph:
         assert fn is not None
         assert fn.qualname == "repro.core.stats.f"
 
+    def test_outside_package_summary_reads_imports_only(self):
+        # Rules read only the imports of a file outside the package, so
+        # its summary carries those and nothing else.
+        source = """\
+        import numpy as np
+        from repro.core import table
+
+        def helper(seed):
+            return np.random.default_rng(seed)
+        """
+        summary = summarize_module(
+            textwrap.dedent(source), None, "tests/test_x.py", "repro"
+        )
+        assert [site.module for site in summary.import_sites] == [
+            "numpy",
+            "repro.core",
+        ]
+        assert summary.exports == {"np": "numpy", "table": "repro.core.table"}
+        assert summary.imports == ("repro.core", "repro.core.table")
+        assert summary.functions == {}
+        assert summary.constructions == ()
+        assert summary.lifecycle is None
+
     def test_conditionally_defined_function_summarized_safely(self):
         graph = self._graph(
             {

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.sim.machine import FleetState
-from repro.sim.scheduler import PLACEMENT_POLICIES, PendingQueue, choose_machine
-from repro.sim.task import SimTask
+from repro.sim.scheduler import PLACEMENT_POLICIES
 from repro.core.table import Table
+from tests.oracles import FleetState, PendingQueue, SimTask, choose_machine
 
 
 def _task(priority=5, cpu=0.1, mem=0.1, job=0):

@@ -181,7 +181,7 @@ def _flip_last_byte(path):
 
 
 class TestIntegrity:
-    """Manifest digests and the none/lazy/full verification modes."""
+    """Manifest digests: lazy per-column checks and ``verify_all``."""
 
     def test_manifest_records_per_column_digests(self, tmp_path):
         sharded = write_table(_table(10), tmp_path / "t", shard_rows=3)
@@ -192,17 +192,12 @@ class TestIntegrity:
             assert set(entry) == {"x", "k"}
             assert all(len(d) == 64 for d in entry.values())
 
-    def test_unknown_verify_mode_rejected(self, tmp_path):
-        sharded = write_table(_table(4), tmp_path / "t", shard_rows=2)
-        with pytest.raises(ValueError, match="verify mode"):
-            ShardedTable.open(sharded.root, verify="paranoid")
-
     def test_corrupt_shard_detected_lazily(self, tmp_path):
         # A last-byte flip keeps the .npy header intact, so it slips past
         # the structural open-time check and must be caught by digests.
         sharded = write_table(_table(12), tmp_path / "t", shard_rows=4)
         _flip_last_byte(sharded.root / "shard-00001" / "x.npy")
-        reopened = ShardedTable.open(sharded.root, verify="lazy")
+        reopened = ShardedTable.open(sharded.root)
         reopened.shard(0)  # clean shard reads fine
         with pytest.raises(ShardIntegrityError, match="digest mismatch") as e:
             reopened.shard(1)
@@ -214,24 +209,18 @@ class TestIntegrity:
         sharded = write_table(_table(12), tmp_path / "t", shard_rows=4)
         _flip_last_byte(sharded.root / "shard-00002" / "k.npy")
         with pytest.raises(ShardIntegrityError, match="digest mismatch"):
-            ShardedTable.open(sharded.root, verify="full")
-
-    def test_verify_none_skips_digest_checks(self, tmp_path):
-        sharded = write_table(_table(12), tmp_path / "t", shard_rows=4)
-        _flip_last_byte(sharded.root / "shard-00001" / "x.npy")
-        reopened = ShardedTable.open(sharded.root, verify="none")
-        assert len(reopened.shard(1)["x"]) == 4  # reads the corrupt bytes
+            ShardedTable.open(sharded.root).verify_all()
 
     def test_verified_shard_checked_once(self, tmp_path):
         sharded = write_table(_table(8), tmp_path / "t", shard_rows=4)
-        reopened = ShardedTable.open(sharded.root, verify="lazy")
+        reopened = ShardedTable.open(sharded.root)
         reopened.shard(0)
         # Corruption after the first verified read goes unnoticed by the
         # same instance (digests memoized) but is caught by a fresh open.
         _flip_last_byte(sharded.root / "shard-00000" / "x.npy")
         reopened.shard(0)
         with pytest.raises(ShardIntegrityError):
-            ShardedTable.open(sharded.root, verify="full")
+            ShardedTable.open(sharded.root).verify_all()
 
     def test_digest_shard_count_mismatch_rejected(self, tmp_path):
         sharded = write_table(_table(10), tmp_path / "t", shard_rows=3)
@@ -276,9 +265,3 @@ class TestStructuralValidation:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(ShardIntegrityError, match="unreadable column"):
             ShardedTable.open(sharded.root)
-
-    def test_structural_check_applies_in_verify_none(self, tmp_path):
-        sharded = write_table(_table(12), tmp_path / "t", shard_rows=4)
-        (sharded.root / "shard-00000" / "x.npy").unlink()
-        with pytest.raises(ShardIntegrityError):
-            ShardedTable.open(sharded.root, verify="none")

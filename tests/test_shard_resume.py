@@ -213,7 +213,8 @@ class TestTornSpillResume:
         proc.join(60)
         assert proc.exitcode == -signal.SIGKILL
         _spill(dest, resume=True).close()
-        reopened = ShardedTable.open(dest, verify="full")
+        reopened = ShardedTable.open(dest)
+        reopened.verify_all()
         np.testing.assert_array_equal(
             reopened.to_table()["x"], np.asarray(_table()["x"])
         )

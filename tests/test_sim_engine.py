@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import EventQueue
-from repro.sim.machine import FleetState
-from repro.sim.task import SimTask
 from repro.synth.machines import generate_machines
 from repro.traces.schema import TaskState
+from tests.oracles import FleetState, SimTask
 
 
 class TestEventQueue:

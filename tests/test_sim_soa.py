@@ -1,11 +1,12 @@
-"""Golden-equivalence and property tests for the SoA fast engine.
+"""Golden-equivalence and property tests for the simulator's engine.
 
-The SoA engine (and its compiled C hot loop) must reproduce the scalar
-golden reference *byte for byte* — every event, every monitor sample,
-every count, and the final RNG state. These tests pin that contract
-over placement x preemption x churn x constraints, plus the
-scalar-engine bugfixes that rode along (stable preemption scan, fleet
-clamp, horizon accounting).
+``ClusterSimulator.run`` — the SoA engine, on its compiled C hot loop
+or its Python loop — must reproduce the scalar golden reference
+(``tests.oracles.run_scalar``) *byte for byte*: every event, every
+monitor sample, every count, and the final RNG state. These tests pin
+that contract over placement x preemption x churn x constraints, plus
+the scalar-engine bugfixes that rode along (stable preemption scan,
+fleet clamp, horizon accounting).
 """
 
 import numpy as np
@@ -14,12 +15,10 @@ import pytest
 from repro.sim import ClusterSimulator, SimConfig
 from repro.sim import _ckernel
 from repro.sim.churn import ChurnModel
-from repro.sim.cluster import ENGINES
 from repro.sim.constraints import ConstraintModel, generate_attribute_matrix
 from repro.sim.failures import FailureModel
-from repro.sim.machine import FleetState
-from repro.sim.task import SimTask
 from repro.synth import GoogleConfig, generate_machines, generate_task_requests
+from tests.oracles import FleetState, SimTask, find_preemption, run_scalar
 
 HOUR = 3600.0
 
@@ -59,8 +58,18 @@ def _config(policy, *, preempt=True, churn=False, constraints=False,
 
 
 def _run(machines, requests, config, engine, seed, horizon):
+    """One run on ``engine``: ``scalar`` (the oracle), ``soa-py`` (the
+    library's Python loop, kernel unloaded) or ``soa`` (the library as
+    is, on the C kernel when one is built)."""
     sim = ClusterSimulator(machines, config, seed=seed)
-    result = sim.run(requests, horizon, engine=engine)
+    if engine == "scalar":
+        result = run_scalar(sim, requests, horizon)
+    elif engine == "soa-py":
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_ckernel, "load", lambda: None)
+            result = sim.run(requests, horizon)
+    else:
+        result = sim.run(requests, horizon)
     return result, sim.rng.bit_generator.state
 
 
@@ -94,20 +103,6 @@ class TestGoldenEquivalence:
             got = _run(machines, requests, config, engine, seed + 2, horizon)
             _assert_same(got, golden)
 
-    def test_auto_resolves_to_soa(self):
-        machines, requests = _inputs(23, n_machines=4, horizon=2 * HOUR)
-        config = _config("balance")
-        golden = _run(machines, requests, config, "soa", 9, 2 * HOUR)
-        got = _run(machines, requests, config, "auto", 9, 2 * HOUR)
-        _assert_same(got, golden)
-
-    def test_engine_names(self):
-        assert ENGINES == ("auto", "soa", "soa-py", "scalar")
-        machines, requests = _inputs(3, n_machines=2, horizon=HOUR, rate=10.0)
-        sim = ClusterSimulator(machines, SimConfig(), seed=1)
-        with pytest.raises(ValueError, match="engine"):
-            sim.run(requests, HOUR, engine="vectorized")
-
 
 class TestKernelEligibility:
     """The C hot loop only claims configs it reproduces exactly."""
@@ -119,14 +114,17 @@ class TestKernelEligibility:
         )
         assert _ckernel.try_run(sim, requests, HOUR) is None
 
-    def test_subclassed_failure_model_falls_back(self):
+    def test_subclassed_failure_model_rejected(self):
+        # The engine inlines FailureModel's draws, so a subclass's
+        # overrides could not be honored: the run refuses it.
         class TweakedFailures(FailureModel):
             pass
 
         machines, requests = _inputs(3, n_machines=4, horizon=HOUR, rate=30.0)
         config = SimConfig(failures=TweakedFailures())
         sim = ClusterSimulator(machines, config, seed=5)
-        assert _ckernel.try_run(sim, requests, HOUR) is None
+        with pytest.raises(TypeError, match="TweakedFailures"):
+            sim.run(requests, HOUR)
 
     def test_kernel_claims_covered_config(self):
         if _ckernel.load() is None:
@@ -178,7 +176,7 @@ class TestPreemptionTieBreak:
     def test_victim_set_pinned_under_score_ties(self):
         fleet, victims = self._tied_fleet()
         task = _task(priority=9, cpu=0.8, mem=0.2, job=99)
-        machine, chosen = ClusterSimulator._find_preemption(fleet, task)
+        machine, chosen = find_preemption(fleet, task)
         assert machine == 0
         assert chosen == [victims[0]]
 
@@ -186,7 +184,7 @@ class TestPreemptionTieBreak:
         fleet, victims = self._tied_fleet()
         fleet.available[0] = False
         task = _task(priority=9, cpu=0.8, mem=0.2, job=99)
-        machine, chosen = ClusterSimulator._find_preemption(fleet, task)
+        machine, chosen = find_preemption(fleet, task)
         assert machine == 1
         assert chosen == [victims[1]]
 
