@@ -80,7 +80,7 @@ class RngDisciplineChecker:
                     hint="use a passed numpy.random.Generator instead",
                 )
         imports = ImportMap(ctx.summary.exports)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Attribute):
                 qual = imports.resolve(node)
                 if (

@@ -102,7 +102,7 @@ class RowLoopChecker:
             for pkg in _SCOPED_PACKAGES
         ):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.For):
                 columns = _column_iterables(node.iter)
                 if columns and _body_does_row_work(node.body):

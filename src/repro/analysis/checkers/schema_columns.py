@@ -64,8 +64,13 @@ def _annotation_is_table(annotation: ast.expr | None) -> bool:
     return False
 
 
-class _FileFacts(ast.NodeVisitor):
-    """Single-pass collection of table variables and locally-made columns."""
+class _FileFacts:
+    """Table variables and locally-made columns of one file.
+
+    :meth:`scan` reads the file's nodes in preorder, the order an
+    ``ast.NodeVisitor`` visits them, so every fact is recorded before
+    the nodes under it are read.
+    """
 
     def __init__(self) -> None:
         self.table_vars: set[str] = set()
@@ -73,13 +78,24 @@ class _FileFacts(ast.NodeVisitor):
         self.table_returning_funcs: set[str] = set()
         self.metric_map_vars: set[str] = set()
 
+    def scan(self, nodes: list[ast.AST]) -> None:
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._function(node)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    self._record_target(target, node.value)
+            elif isinstance(node, ast.AnnAssign):
+                if isinstance(node.target, ast.Name) and _annotation_is_table(
+                    node.annotation
+                ):
+                    self.table_vars.add(node.target.id)
+                elif node.value is not None:
+                    self._record_target(node.target, node.value)
+            elif isinstance(node, ast.Call):
+                self._call(node)
+
     # -- which local functions return tables -------------------------------
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._function(node)
 
     def _function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         if _annotation_is_table(node.returns):
@@ -94,7 +110,6 @@ class _FileFacts(ast.NodeVisitor):
         ):
             if _annotation_is_table(arg.annotation):
                 self.table_vars.add(arg.arg)
-        self.generic_visit(node)
 
     # -- assignments that mint table variables / local columns -------------
 
@@ -123,23 +138,9 @@ class _FileFacts(ast.NodeVisitor):
         if isinstance(target, ast.Name) and _is_metrics_dictcomp(value):
             self.metric_map_vars.add(target.id)
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._record_target(target, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, ast.Name) and _annotation_is_table(
-            node.annotation
-        ):
-            self.table_vars.add(node.target.id)
-        elif node.value is not None:
-            self._record_target(node.target, node.value)
-        self.generic_visit(node)
-
     # -- locally-created columns --------------------------------------------
 
-    def visit_Call(self, node: ast.Call) -> None:
+    def _call(self, node: ast.Call) -> None:
         func = node.func
         name = (
             func.id
@@ -159,7 +160,6 @@ class _FileFacts(ast.NodeVisitor):
                             key.value, str
                         ):
                             self.local_columns.add(key.value)
-        self.generic_visit(node)
 
 
 def _is_metrics_dictcomp(value: ast.expr) -> bool:
@@ -192,10 +192,10 @@ def _str_subscript(node: ast.Subscript) -> str | None:
 class SchemaContractChecker:
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         facts = _FileFacts()
-        # Two passes so ``jobs = load()``-then-``jobs.select(...)`` chains
+        # Two scans so ``jobs = load()``-then-``jobs.select(...)`` chains
         # and forward uses of ``-> Table`` functions reach a fixpoint.
-        facts.visit(ctx.tree)
-        facts.visit(ctx.tree)
+        facts.scan(ctx.nodes)
+        facts.scan(ctx.nodes)
 
         allowed = (
             set(ctx.project.table_columns)
@@ -205,7 +205,7 @@ class SchemaContractChecker:
         metrics_keys = ctx.project.metrics_keys
         experiment_ids = ctx.project.experiment_ids
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Subscript):
                 continue
             if not isinstance(node.ctx, ast.Load):

@@ -80,7 +80,7 @@ class SilentExceptChecker:
             for pkg in _SCOPED_PACKAGES
         ):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Try):
                 continue
             for handler in node.handlers:

@@ -44,7 +44,7 @@ class WallClockChecker:
         if ctx.is_test:
             return
         imports = ImportMap(ctx.summary.exports)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue
             # Only flag the outermost reference once: names directly, and

@@ -5,7 +5,8 @@ Usage::
     repro-lint src                   # lint the tree, exit 1 on findings
     repro-lint --format json src     # machine-readable output
     repro-lint --format sarif src    # SARIF 2.1.0 for code-scanning UIs
-    repro-lint --jobs 0 src          # parallel parse/analyze (0 = auto)
+    repro-lint --jobs 0 src          # parallel parse/analyze, one worker
+                                     # per CPU the process may run on
     repro-lint --cache-dir .lint-cache src   # incremental: only changed
                                              # files (and their importers)
                                              # are re-analyzed
@@ -68,7 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for parsing/analysis (0 = one per CPU)",
+        help=(
+            "worker processes for parsing/analysis (default: 1, serial; "
+            "0 = one per CPU the process may run on)"
+        ),
     )
     parser.add_argument(
         "--cache-dir",

@@ -10,16 +10,21 @@ The run proceeds in phases:
    rules consult. A warm cache rebuilds the graph without parsing.
 3. **analyze** — for each file whose diagnostics key (content hash +
    transitive-import-closure hashes + cross-module flow facts; see
-   :mod:`repro.analysis.cache`) misses, parse and run the checkers,
-   route findings through the suppression sink, then derive REP701
+   :mod:`repro.analysis.cache`) misses, parse, traverse the tree once
+   and run the checkers over that traversal's node list, route
+   findings through the suppression sink, then derive REP701
    (unused-suppression) from the sink's usage accounting. Cache hits
    skip the file entirely.
+
+Each phase parses a file once and drops the tree when the file is
+done: no tree is kept from the summarize phase for the analyze phase.
 
 Suppression comments are parsed with the tokenizer so string literals
 that merely contain the marker never suppress anything; a comment that
 *starts* the ``reprolint:`` marker but does not form a well-shaped
 ``disable=<codes>`` directive is recorded as malformed and surfaced by
-REP701 instead of being silently ignored.
+REP701 instead of being silently ignored. A file without the text
+``reprolint`` is not tokenized at all.
 """
 
 from __future__ import annotations
@@ -64,6 +69,10 @@ class FileContext:
     summary: ModuleSummary
     #: Whole-program graph over every linted file's summary.
     graph: ProjectGraph
+    #: Every node of ``tree`` in the order ``ast.NodeVisitor`` visits
+    #: them (depth-first preorder); rules iterate this instead of
+    #: walking the tree again.
+    nodes: list[ast.AST]
     module: str | None = None  # dotted module name, when resolvable
     is_test: bool = False
 
@@ -148,8 +157,12 @@ def _parse_suppressions(source: str) -> list[SuppressionSpec]:
 
     Uses the tokenizer so string literals that merely *contain* the
     marker do not suppress anything; falls back to a per-line scan if
-    the file does not tokenize.
+    the file does not tokenize. A source without the literal text
+    ``reprolint``, which :data:`_MARKER_RE` needs, has no suppression
+    comment and is not tokenized.
     """
+    if "reprolint" not in source:
+        return []
     specs: list[SuppressionSpec] = []
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
@@ -327,6 +340,18 @@ def _parse_error_payload(relpath: str, summary: ModuleSummary) -> dict:
     return {"diags": [], "parse": [diag.to_dict()]}
 
 
+def _preorder(tree: ast.Module) -> list[ast.AST]:
+    """Every node of ``tree`` in depth-first preorder, children in
+    field order: the order ``ast.NodeVisitor`` visits them."""
+    nodes: list[ast.AST] = []
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
+    return nodes
+
+
 def _analyze_file(
     info: _FileInfo,
     project: ProjectContext,
@@ -348,6 +373,7 @@ def _analyze_file(
         project=project,
         summary=graph.files[info.relpath],
         graph=graph,
+        nodes=_preorder(tree),
         module=info.module,
         is_test=info.is_test,
     )
@@ -414,8 +440,12 @@ def _summarize_task(task: tuple[str, str | None, str, str]) -> ModuleSummary:
 
 
 def _resolve_jobs(jobs: int) -> int:
+    """``jobs``, or for ``0`` the number of CPUs this process may run on
+    (its affinity mask where the platform has one, else every CPU)."""
     if jobs > 0:
         return jobs
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -472,7 +502,7 @@ def lint_paths(
     ``root`` defaults to the nearest ancestor of the first path that
     contains a ``pyproject.toml`` (whose ``[tool.reprolint]`` section,
     if any, configures the run). ``jobs > 1`` parses and analyzes in a
-    process pool (``jobs=0`` means one per CPU); ``cache_dir`` enables
+    process pool (``jobs=0``: one per usable CPU); ``cache_dir`` enables
     the incremental cache, after which unchanged files are served
     without being re-analyzed. ``select`` narrows the run to exactly
     those rules; ``ignore`` drops rules on top of whatever the config

@@ -1153,11 +1153,12 @@ class _ModuleSummarizer:
         if top_level:
             self._top = node.name
         scope = _Scope(self, params=params, fn_name=node.name)
-        self._collect_param_accesses(node, fn)
+        subtree = list(ast.walk(node))
+        self._collect_param_accesses(subtree, fn)
         if top_level:
-            # Effects walk the full subtree, so nested defs' writes
+            # Effects read the full subtree, so nested defs' writes
             # fold into their (top-level) encloser conservatively.
-            self._collect_effects(node, fn)
+            self._collect_effects(node, subtree, fn)
         self._walk_body(node.body, scope, qual_prefix=None, depth=1)
         self._current = outer
         self._top = outer_top
@@ -1169,12 +1170,13 @@ class _ModuleSummarizer:
             outer.effects = (*outer.effects, *fn.effects)
 
     def _collect_param_accesses(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef, fn: FunctionSummary
+        self, subtree: list[ast.AST], fn: FunctionSummary
     ) -> None:
-        """Record ``param["col"]`` reads and Table-shaped param usage."""
+        """Record ``param["col"]`` reads and Table-shaped param usage
+        over a def's ``subtree`` (its nodes in ``ast.walk`` order)."""
         subscripted: dict[str, list[tuple[str, int, int]]] = {}
         non_table_use: set[str] = set()
-        for sub in ast.walk(node):
+        for sub in subtree:
             if (
                 isinstance(sub, ast.Subscript)
                 and isinstance(sub.value, ast.Name)
@@ -1208,9 +1210,13 @@ class _ModuleSummarizer:
         )
 
     def _collect_effects(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef, fn: FunctionSummary
+        self,
+        node: ast.FunctionDef | ast.AsyncFunctionDef,
+        subtree: list[ast.AST],
+        fn: FunctionSummary,
     ) -> None:
-        """Syntactic effect sites of one top-level function's subtree."""
+        """Syntactic effect sites of one top-level function's
+        ``subtree`` (its nodes in ``ast.walk`` order)."""
         args = node.args
         positional = (*args.posonlyargs, *args.args)
         mutable: list[str] = []
@@ -1226,7 +1232,7 @@ class _ModuleSummarizer:
 
         global_names: set[str] = set()
         stored: set[str] = set()
-        for sub in ast.walk(node):
+        for sub in subtree:
             if isinstance(sub, ast.Global):
                 global_names.update(sub.names)
             elif isinstance(sub, ast.Name) and isinstance(
@@ -1238,7 +1244,7 @@ class _ModuleSummarizer:
         effects: list[EffectSite] = []
         called_params: set[str] = set()
         mutable_set = set(mutable)
-        for sub in ast.walk(node):
+        for sub in subtree:
             if isinstance(sub, ast.Name) and isinstance(
                 sub.ctx, (ast.Store, ast.Del)
             ):

@@ -14,7 +14,8 @@ exact global ``(time, seq)`` processing order of one-at-a-time pops.
 
 The engine's Python loop (:mod:`repro.sim.soa`) drains a timestamp per
 :meth:`~EventQueue.pop_batch` call; the scalar oracle the tests hold it
-to (``tests/oracles.py``) pops one event at a time.
+to (``tests/oracles.py``) pops one event at a time, from a subclass
+that adds ``pop``.
 """
 
 from __future__ import annotations
@@ -44,11 +45,6 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    @property
-    def now(self) -> float:
-        """Timestamp of the most recently popped event."""
-        return self._time
-
     def push(self, time: float, kind: int, payload: Any = None) -> None:
         """Schedule an event. Events at equal times pop in push order.
 
@@ -65,18 +61,14 @@ class EventQueue:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
         self._seq += 1
 
-    def pop(self) -> tuple[float, int, Any]:
-        """Pop the earliest event; advances :attr:`now`."""
-        time, _seq, kind, payload = heapq.heappop(self._heap)
-        self._time = time
-        return time, kind, payload
-
     def pop_batch(self) -> list[tuple[float, int, Any]]:
         """Pop every event sharing the earliest timestamp, in push order.
 
-        Equivalent to calling :meth:`pop` until the head time changes,
-        but a single call per timestamp window keeps the simulator's
-        hot loop free of per-event peek/compare overhead.
+        Returns ``(time, kind, payload)`` tuples in ``(time, seq)``
+        order and moves the queue's clock to their time, so a later
+        :meth:`push` may not schedule before it. One call per timestamp
+        window keeps the simulator's hot loop free of per-event
+        peek/compare overhead.
         """
         heap = self._heap
         time, _seq, kind, payload = heapq.heappop(heap)

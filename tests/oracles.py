@@ -9,7 +9,8 @@ library to it bit for bit:
 * :func:`run_scalar` is the scalar cluster simulator. It keeps one
   :class:`SimTask` object per request, a :class:`PendingQueue` of those
   objects and a :class:`FleetState` with per-task running registries,
-  places with :func:`choose_machine`, and pops one event at a time.
+  places with :func:`choose_machine`, and pops one event at a time
+  from a :class:`ScalarEventQueue`.
   ``ClusterSimulator.run`` (the structure-of-arrays engine, on its C
   kernel or its Python loop) must reproduce its four tables, its
   counts and its final RNG state.
@@ -389,21 +390,39 @@ def resubmits(
 # -- the scalar engine --------------------------------------------------------
 
 
+class ScalarEventQueue(EventQueue):
+    """The library's event queue plus the one-at-a-time drain of the
+    scalar engine, whose order the batched drain is held to."""
+
+    __slots__ = ()
+
+    @property
+    def now(self) -> float:
+        """Timestamp of the most recently popped event."""
+        return self._time
+
+    def pop(self) -> tuple[float, int, object]:
+        """Pop the earliest event; advances :attr:`now`."""
+        time, _seq, kind, payload = heapq.heappop(self._heap)
+        self._time = time
+        return time, kind, payload
+
+
 def run_scalar(sim, requests: TaskRequests, horizon: float) -> SimResult:
     """Simulate ``[0, horizon]`` seconds the way the scalar engine did.
 
     ``sim`` is a :class:`~repro.sim.cluster.ClusterSimulator`; its
     machines, config and generator are used exactly as
     ``ClusterSimulator.run`` uses them. Events are drained one at a
-    time (:meth:`~repro.sim.engine.EventQueue.pop`), the reference
-    order the library's batched drain is held to.
+    time (:meth:`ScalarEventQueue.pop`), the reference order the
+    library's batched drain is held to.
     """
     config = sim.config
     rng = sim.rng
     fleet = FleetState(sim.machines)
     monitor = UsageMonitor(fleet, config.monitor, rng)
     pending = PendingQueue()
-    queue = EventQueue()
+    queue = ScalarEventQueue()
     failures = config.failures
 
     # Event-log builders (flat Python lists; tables built at the end).

@@ -8,13 +8,21 @@ contract, parallel analysis equivalence and the SARIF reporter.
 
 from __future__ import annotations
 
+import ast
+import concurrent.futures
+import gc
 import json
+import os
+import sys
 import textwrap
+import tokenize
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
+from repro.analysis import engine, lint_paths
 from repro.analysis.engine import SuppressionSpec, _parse_suppressions
 from repro.analysis.graph import build_project_graph, summarize_module
 from repro.analysis.reporters import render_sarif
@@ -565,6 +573,14 @@ class TestSuppressionParsing:
             _parse_suppressions('s = "# reprolint: disable=REP101"\n') == []
         )
 
+    def test_marker_free_source_is_not_tokenized(self, monkeypatch):
+        def refuse(readline):
+            raise AssertionError("tokenized a source without the marker")
+
+        monkeypatch.setattr(tokenize, "generate_tokens", refuse)
+        assert _parse_suppressions("x = 1  # a plain comment\n") == []
+        assert _parse_suppressions('s = "# repro lint"\n') == []
+
 
 # -- incremental cache --------------------------------------------------------
 
@@ -757,6 +773,175 @@ class TestParallelAnalysis:
             d.to_dict() for d in parallel.all_diagnostics
         ]
         assert serial.files_checked == parallel.files_checked
+
+    def test_default_jobs_follow_cpu_affinity(self, project, monkeypatch):
+        """``jobs=0`` counts the CPUs the process may run on, not the host's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert engine._resolve_jobs(0) == 1
+        assert engine._resolve_jobs(3) == 3
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-CPU process started a worker pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        project.write("src/repro/core/a.py", "import random\n")
+        project.write("src/repro/core/b.py", "import random\n")
+        run = project.lint(jobs=0)
+        assert run.files_analyzed == run.files_checked == 4
+        assert rules_at(run, "src/repro/core/a.py", 1) == {"REP101"}
+
+
+# -- one traversal per tree per phase -----------------------------------------
+
+_TRAVERSED = """\
+import time
+
+import numpy as np
+
+from .table import Table
+
+_SEEN = []
+
+
+def mean_run(jobs: Table, key):
+    _SEEN.append(key)
+    return jobs["run_tmie"].mean(), time.time()
+
+
+def sampler(seed):
+    def draw(n):
+        return np.random.default_rng(seed).random(n)
+
+    return draw
+
+
+class Summary:
+    def total(self, jobs: Table):
+        return jobs["run_time"].sum()
+
+    async def later(self):
+        return None
+"""
+
+
+class TestOneTraversalPerPhase:
+    """Each phase parses a file once, traverses its tree once, whatever
+    the number of rules that read it, and drops the tree when done."""
+
+    def test_each_tree_traversed_once_per_phase(self, project, monkeypatch):
+        project.write("src/repro/core/stats.py", _TRAVERSED)
+        project.write(
+            "src/repro/experiments/run.py",
+            """\
+            from ..core.stats import mean_run
+            from ..core.table import Table
+
+            def main():
+                return mean_run(Table({"run_time": [1.0]}), "k")
+            """,
+        )
+        phase: list[tuple[str, str] | None] = [None]
+        root_traversals: Counter = Counter()
+        def_walks: Counter = Counter()
+        trees: list[weakref.ref] = []
+        real_parse, real_walk, real_fields = ast.parse, ast.walk, ast.iter_fields
+
+        def in_phase(name, fn, relpath_of):
+            def run_phase(*args, **kwargs):
+                phase[0] = (name, relpath_of(*args))
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase[0] = None
+                    gc.collect()
+                    assert all(tree() is None for tree in trees), (
+                        f"a tree outlived its {name} call"
+                    )
+
+            return run_phase
+
+        def count_root(node):
+            if phase[0] is not None and isinstance(node, ast.Module):
+                root_traversals[phase[0]] += 1
+
+        def iter_fields(node):
+            # NodeVisitor.generic_visit starts here.
+            count_root(node)
+            return real_fields(node)
+
+        def iter_child_nodes(node):
+            # ast.walk (and the engine's own traversal) starts here.
+            count_root(node)
+            return (
+                child
+                for _name, value in real_fields(node)
+                for child in (value if isinstance(value, list) else [value])
+                if isinstance(child, ast.AST)
+            )
+
+        def walk(node):
+            caller = sys._getframe(1).f_globals["__name__"]
+            if (
+                phase[0] is not None
+                and phase[0][0] == "summarize"
+                and caller == "repro.analysis.graph"
+                and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ):
+                def_walks[phase[0][1], node.name] += 1
+            return real_walk(node)
+
+        def parse(*args, **kwargs):
+            tree = real_parse(*args, **kwargs)
+            if phase[0] is not None:
+                trees.append(weakref.ref(tree))
+            return tree
+
+        monkeypatch.setattr(ast, "iter_fields", iter_fields)
+        monkeypatch.setattr(ast, "iter_child_nodes", iter_child_nodes)
+        monkeypatch.setattr(ast, "walk", walk)
+        monkeypatch.setattr(ast, "parse", parse)
+        monkeypatch.setattr(
+            engine,
+            "summarize_module",
+            in_phase("summarize", engine.summarize_module, lambda *a: a[2]),
+        )
+        monkeypatch.setattr(
+            engine,
+            "_analyze_file",
+            in_phase("analyze", engine._analyze_file, lambda *a: a[0].relpath),
+        )
+
+        run = project.lint(jobs=1)
+
+        files = sorted(
+            path.relative_to(project.root).as_posix()
+            for path in (project.root / "src").rglob("*.py")
+        )
+        assert run.files_analyzed == len(files) == 4
+        assert len(trees) == 2 * len(files)  # one parse per file per phase
+        assert root_traversals == Counter(
+            {(name, rel): 1 for name in ("summarize", "analyze") for rel in files}
+        )
+        # The summarizer walks every def's subtree once, top-level,
+        # nested and methods alike. (The CFG layer interprets function
+        # bodies statement by statement on its own.)
+        stats = "src/repro/core/stats.py"
+        assert def_walks == Counter(
+            {
+                (stats, "mean_run"): 1,
+                (stats, "sampler"): 1,
+                (stats, "draw"): 1,
+                (stats, "total"): 1,
+                (stats, "later"): 1,
+                ("src/repro/experiments/run.py", "main"): 1,
+            }
+        )
+        # The rules still saw every node: REP201 and REP501 on line 12.
+        assert rules_at(run, stats, 12) == {
+            "REP201",
+            "REP501",
+        }
 
 
 # -- SARIF reporter -----------------------------------------------------------

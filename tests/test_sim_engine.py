@@ -6,33 +6,33 @@ import pytest
 from repro.sim.engine import EventQueue
 from repro.synth.machines import generate_machines
 from repro.traces.schema import TaskState
-from tests.oracles import FleetState, SimTask
+from tests.oracles import FleetState, ScalarEventQueue, SimTask
 
 
 class TestEventQueue:
     def test_time_order(self):
-        q = EventQueue()
+        q = ScalarEventQueue()
         q.push(3.0, 0, "c")
         q.push(1.0, 0, "a")
         q.push(2.0, 0, "b")
         assert [q.pop()[2] for _ in range(3)] == ["a", "b", "c"]
 
     def test_fifo_at_equal_time(self):
-        q = EventQueue()
+        q = ScalarEventQueue()
         q.push(1.0, 0, "first")
         q.push(1.0, 0, "second")
         assert q.pop()[2] == "first"
         assert q.pop()[2] == "second"
 
     def test_now_advances(self):
-        q = EventQueue()
+        q = ScalarEventQueue()
         q.push(5.0, 0)
         assert q.now == 0.0
         q.pop()
         assert q.now == 5.0
 
     def test_past_scheduling_rejected(self):
-        q = EventQueue()
+        q = ScalarEventQueue()
         q.push(5.0, 0)
         q.pop()
         with pytest.raises(ValueError, match="past"):
@@ -53,7 +53,7 @@ class TestEventQueue:
             q.push(bad, 0)
 
     def test_pop_batch_same_timestamp_window(self):
-        q = EventQueue()
+        q = ScalarEventQueue()
         q.push(1.0, 0, "a")
         q.push(1.0, 1, "b")
         q.push(2.0, 0, "c")
@@ -65,7 +65,7 @@ class TestEventQueue:
     def test_pop_batch_matches_one_at_a_time(self):
         rng = np.random.default_rng(9)
         times = np.round(rng.uniform(0, 5, 60), 1)  # forces timestamp ties
-        one, batched = EventQueue(), EventQueue()
+        one, batched = ScalarEventQueue(), EventQueue()
         for i, t in enumerate(times):
             one.push(float(t), i % 3, i)
             batched.push(float(t), i % 3, i)
