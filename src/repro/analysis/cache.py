@@ -34,7 +34,7 @@ __all__ = ["LintCache", "MISS"]
 
 #: Bump when summary shape, diagnostic semantics, key derivation or the
 #: cache's entry format change; old entries then miss, not quarantine.
-ENGINE_VERSION = "repro-lint/8"
+ENGINE_VERSION = "repro-lint/9"
 
 
 class LintCache:

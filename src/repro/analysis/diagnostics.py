@@ -48,23 +48,6 @@ class Diagnostic:
             ]
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (used by the incremental cache)."""
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            rule_id=str(data["rule"]),
-            message=str(data["message"]),
-            severity=Severity[str(data["severity"]).upper()],
-            hint=str(data.get("hint", "")),
-            related=tuple(
-                (int(item["line"]), str(item["note"]))
-                for item in data.get("related", ())
-            ),
-        )
-
 
 def sort_key(diag: Diagnostic) -> tuple[str, int, int, str]:
     return (diag.path, diag.line, diag.col, diag.rule_id)

@@ -337,7 +337,7 @@ def _parse_error_payload(relpath: str, summary: ModuleSummary) -> dict:
         message=f"could not parse file: {summary.parse_error}",
         hint="fix the syntax error or exclude the file",
     )
-    return {"diags": [], "parse": [diag.to_dict()]}
+    return {"diags": [], "parse": [diag]}
 
 
 def _preorder(tree: ast.Module) -> list[ast.AST]:
@@ -360,7 +360,8 @@ def _analyze_file(
     known_rules: frozenset[str],
 ) -> dict:
     """Run every checker on one (parseable) file; returns the payload
-    the incremental cache stores: plain dicts, nothing else."""
+    the incremental cache stores: its findings as :class:`Diagnostic`
+    lists."""
     config = project.config
     tree = ast.parse(info.source, filename=str(info.path))
     specs = _parse_suppressions(info.source)
@@ -400,7 +401,7 @@ def _analyze_file(
             info.relpath, specs, sink.used, known_rules
         ):
             sink.emit(diag)
-    return {"diags": [d.to_dict() for d in sink.items], "parse": []}
+    return {"diags": sink.items, "parse": []}
 
 
 # -- worker-pool plumbing -----------------------------------------------------
@@ -654,13 +655,9 @@ def lint_paths(
     for info in infos:
         payload = payloads[info.relpath]
         if payload["parse"]:
-            run.parse_errors.extend(
-                Diagnostic.from_dict(d) for d in payload["parse"]
-            )
+            run.parse_errors.extend(payload["parse"])
         else:
             run.files_checked += 1
-        run.diagnostics.extend(
-            Diagnostic.from_dict(d) for d in payload["diags"]
-        )
+        run.diagnostics.extend(payload["diags"])
     run.diagnostics.sort(key=sort_key)
     return run

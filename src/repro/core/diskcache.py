@@ -11,7 +11,7 @@ warm cache is always safe to reuse.
 Storage layout (one directory per entry, content-addressed)::
 
     <root>/<key[:2]>/<key>/
-        skeleton.pkl   object tree with arrays replaced by references
+        skeleton.pkl   the object, pickled with each array replaced by its i
         a<i>.npy       array i as a bare .npy file (the shard column format)
         payload/       a put_path tree, in place of the two above
         meta.json      key, payload size and one sha256 per a<i>.npy
@@ -31,19 +31,19 @@ surfaces the event in the run's timing footer. An entry that simply
 *vanishes* mid-read (a concurrent process evicted it between the
 existence check and the open) is a plain miss, not corruption.
 
-The codec is structural, not type-specific: it walks dataclasses,
-dicts, lists/tuples and :class:`~repro.core.table.Table` instances,
-writing every NumPy array with :func:`repro.core.fsutil.write_npy`
-(the shard column writer) and pickling the remaining skeleton. That
-covers ``Table``, ``SimResult``, ``MachineLoadSeries`` and the dataset
-containers without this layer-0 module importing anything above
-``core``.
+An object is pickled as it is, so it comes back with its own types
+(``Table``, ``SimResult``, a ``NamedTuple``, an ``OrderedDict``) and
+this layer-0 module needs to know none of them. Pickle's persistent-ID
+hook takes every NumPy array out of the pickle, except object arrays,
+and :func:`repro.core.fsutil.write_npy` (the shard column writer)
+stores each one as its own digested file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -52,11 +52,11 @@ import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .fsutil import file_sha256, publish_atomically, remove_durable, write_npy
-from .table import Table
 
 __all__ = [
     "MISS",
@@ -182,78 +182,36 @@ def cache_key(**components: object) -> str:
     ).hexdigest()
 
 
-# -- structural codec ---------------------------------------------------------
+# -- codec --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ArrayRef:
-    """Placeholder for an array stored in the entry's ``a<index>.npy``."""
+class _Pickler(pickle.Pickler):
+    """Pickles an object, setting each array aside as ``a<index>.npy``.
 
-    index: int
+    Object arrays stay in the pickle: the ``.npy`` files are read back
+    with ``allow_pickle=False``.
+    """
 
+    def __init__(self, fh: BinaryIO) -> None:
+        super().__init__(fh, protocol=pickle.HIGHEST_PROTOCOL)
+        self.arrays: list[np.ndarray] = []
 
-@dataclass(frozen=True)
-class _TableRef:
-    """Placeholder for a Table; columns reference stored arrays."""
-
-    columns: tuple[tuple[str, "_ArrayRef"], ...]
-
-
-@dataclass(frozen=True)
-class _ObjRef:
-    """Placeholder for a dataclass instance, rebuilt via its __init__."""
-
-    cls: type
-    state: tuple[tuple[str, object], ...]
+    def persistent_id(self, obj: object) -> int | None:
+        if isinstance(obj, np.ndarray) and obj.dtype != object:
+            self.arrays.append(obj)
+            return len(self.arrays) - 1
+        return None
 
 
-def _encode(obj: object, arrays: list[np.ndarray]) -> object:
-    """Replace arrays/Tables/dataclasses with references, recursively."""
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == object:
-            return obj  # rare; stays in the pickled skeleton
-        arrays.append(obj)
-        return _ArrayRef(len(arrays) - 1)
-    if isinstance(obj, Table):
-        return _TableRef(
-            tuple(
-                (name, _encode(obj[name], arrays))
-                for name in obj.column_names
-            )
-        )
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _ObjRef(
-            cls=type(obj),
-            state=tuple(
-                (f.name, _encode(getattr(obj, f.name), arrays))
-                for f in dataclasses.fields(obj)
-                if f.init
-            ),
-        )
-    if isinstance(obj, dict):
-        return {k: _encode(v, arrays) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return tuple(_encode(v, arrays) for v in obj)
-    if isinstance(obj, list):
-        return [_encode(v, arrays) for v in obj]
-    return obj
+class _Unpickler(pickle.Unpickler):
+    """Inverse of :class:`_Pickler`, given the entry's loaded arrays."""
 
+    def __init__(self, fh: BinaryIO, arrays: list[np.ndarray]) -> None:
+        super().__init__(fh)
+        self.arrays = arrays
 
-def _decode(obj: object, arrays: list[np.ndarray]) -> object:
-    """Inverse of :func:`_encode`."""
-    if isinstance(obj, _ArrayRef):
-        return arrays[obj.index]
-    if isinstance(obj, _TableRef):
-        return Table({name: _decode(ref, arrays) for name, ref in obj.columns})
-    if isinstance(obj, _ObjRef):
-        return obj.cls(**{name: _decode(v, arrays) for name, v in obj.state})
-    if isinstance(obj, dict):
-        return {k: _decode(v, arrays) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return tuple(_decode(v, arrays) for v in obj)
-    if isinstance(obj, list):
-        return [_decode(v, arrays) for v in obj]
-    return obj
+    def persistent_load(self, pid: int) -> np.ndarray:
+        return self.arrays[pid]
 
 
 # -- the cache ----------------------------------------------------------------
@@ -339,15 +297,14 @@ class DiskCache:
             return MISS
         try:
             digests = json.loads(meta.read_text())["digests"]
-            with open(entry / _SKELETON, "rb") as fh:
-                skeleton = pickle.load(fh)
             arrays: list[np.ndarray] = []
             for index, digest in enumerate(digests):
                 path = entry / f"a{index}.npy"
                 if file_sha256(path) != digest:
                     raise CacheCorruptionError(f"digest mismatch at {path}")
                 arrays.append(np.load(path, allow_pickle=False))
-            obj = _decode(skeleton, arrays)
+            with open(entry / _SKELETON, "rb") as fh:
+                obj = _Unpickler(fh, arrays).load()
         except FileNotFoundError:
             # Concurrent eviction won the race; nothing is wrong with
             # the (now absent) entry.
@@ -368,38 +325,37 @@ class DiskCache:
 
     def put(self, key: str, obj: object) -> None:
         """Store an object under ``key`` (atomic; last writer wins)."""
-        arrays: list[np.ndarray] = []
-        skeleton = _encode(obj, arrays)
+        # Pickled before the temp directory exists, so an object that
+        # cannot be pickled raises without leaving one behind.
+        skeleton = io.BytesIO()
+        pickler = _Pickler(skeleton)
+        pickler.dump(obj)
 
         def write(tmp: Path) -> list[str]:
             with open(tmp / _SKELETON, "wb") as fh:
-                pickle.dump(skeleton, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(skeleton.getbuffer())
             return [
                 write_npy(tmp / f"a{index}.npy", arr)
-                for index, arr in enumerate(arrays)
+                for index, arr in enumerate(pickler.arrays)
             ]
 
         self._publish(key, write)
 
-    def put_path(self, key: str, src: str | Path, *, move: bool = False) -> None:
-        """Store a directory tree under ``key`` (atomic; last writer wins).
+    def put_path(self, key: str, src: str | Path) -> None:
+        """Move a directory tree under ``key`` (atomic; last writer wins).
 
-        The tree lands as the entry's ``payload/`` directory, so the
-        entry scans, touches and evicts exactly like an object entry —
-        including byte accounting of every file in the tree. With
-        ``move=True`` the source directory is renamed into the entry
-        (same filesystem, no copy); the caller's ``src`` path is gone
-        afterwards. Retrieve with :meth:`get_path`, not :meth:`get`.
+        ``src`` is renamed into the entry as its ``payload/`` directory,
+        so it must sit on the cache's filesystem, and the caller's path
+        is gone afterwards. The entry scans, touches and evicts exactly
+        like an object entry, including byte accounting of every file
+        in the tree. Retrieve with :meth:`get_path`, not :meth:`get`.
         """
         src = Path(src)
         if not src.is_dir():
             raise ValueError(f"source is not a directory: {src}")
 
         def write(tmp: Path) -> list[str]:
-            if move:
-                os.rename(src, tmp / _PAYLOAD_DIR)
-            else:
-                shutil.copytree(src, tmp / _PAYLOAD_DIR)
+            os.rename(src, tmp / _PAYLOAD_DIR)
             return []
 
         self._publish(key, write)

@@ -50,7 +50,7 @@ import numpy as np
 
 from .. import __version__
 from ..core.diskcache import MISS, DiskCache, cache_key, fingerprint
-from ..core.mapreduce import map_reduce, map_shards, merge_accumulators
+from ..core.mapreduce import map_reduce, map_shards
 from ..core.shard import ShardIntegrityError, ShardWriter, ShardedTable
 from ..core.supervise import Policy
 from ..core.table import Table
@@ -92,7 +92,7 @@ __all__ = [
 
 #: Bump when a builder, model default, cached container or the cache's
 #: entry format changes; old disk-cache entries then miss.
-DATASET_CACHE_VERSION = 3
+DATASET_CACHE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -601,7 +601,7 @@ def _sharded_build(
         stage.mkdir(parents=True, exist_ok=True)
         dest = stage / "shards"
         _spill(table, dest, shard_rows, group_by, kind, resume=True)
-        cache.put_path(key, dest, move=True)
+        cache.put_path(key, dest)
         shutil.rmtree(stage, ignore_errors=True)
         path = cache.get_path(key)
     if path is MISS:
@@ -749,14 +749,13 @@ def _shard_injector(kind: str):
     return faults.ShardFaultInjector(plan=plan, table=kind)
 
 
-def _over_shards(run, table, scale, seed, kernel, args, jobs, **options):
+def _over_shards(run, table, scale, seed, kernel, args):
     """One supervised ``run`` (map_reduce/map_shards) over a table's spill.
 
-    Worker count (``jobs`` overrides the backend's), per-block timeout
-    and retries come from the active backend. Shard damage
-    found at open or by a block heals through :func:`heal_sharded_table`,
-    fault plans inject through the worker hook, and recovery counters
-    land in :func:`dataset_stats`.
+    Worker count, per-block timeout and retries come from the active
+    backend. Shard damage found at open or by a block heals through
+    :func:`heal_sharded_table`, fault plans inject through the worker
+    hook, and recovery counters land in :func:`dataset_stats`.
     """
     backend = active_backend()
     root = _table_root(table, scale, seed, backend.shard_rows)
@@ -771,14 +770,13 @@ def _over_shards(run, table, scale, seed, kernel, args, jobs, **options):
         shards,
         kernel,
         args=args,
-        jobs=backend.jobs if jobs is None else jobs,
+        jobs=backend.jobs,
         config=Policy(
             timeout=backend.block_timeout, retries=backend.block_retries
         ),
         inject=_shard_injector(_TABLES[table].kind),
         heal=heal_sharded_table,
         timings=_StatsCounter(),
-        **options,
     )
 
 
@@ -789,8 +787,6 @@ def fold_table(
     kernel,
     *,
     args: tuple = (),
-    merge=merge_accumulators,
-    jobs: int | None = None,
 ):
     """Left fold of ``kernel(shard, *args)`` over a dataset table.
 
@@ -798,15 +794,15 @@ def fold_table(
     ``machine_usage``. Under the memory backend the builder's table is
     the only shard: the kernel runs once, here, on the table itself.
     Under the sharded backend the table's spill is folded by a
-    supervised map-reduce in shard order. Returns ``None`` for an empty
-    table, like a zero-shard map-reduce.
+    supervised map-reduce in shard order, with the backend's worker
+    count; block results combine through the accumulator's ``merge``
+    method. Returns ``None`` for an empty table, like a zero-shard
+    map-reduce.
     """
     if active_backend().name == "memory":
         whole = _TABLES[table].build(scale, seed)
         return kernel(whole, *args) if whole.num_rows else None
-    return _over_shards(
-        map_reduce, table, scale, seed, kernel, args, jobs, merge=merge
-    )
+    return _over_shards(map_reduce, table, scale, seed, kernel, args)
 
 
 def map_table(
@@ -816,7 +812,6 @@ def map_table(
     kernel,
     *,
     args: tuple = (),
-    jobs: int | None = None,
 ) -> list:
     """Per-shard ``kernel(shard, *args)`` results, in shard order.
 
@@ -826,7 +821,7 @@ def map_table(
     if active_backend().name == "memory":
         whole = _TABLES[table].build(scale, seed)
         return [kernel(whole, *args)] if whole.num_rows else []
-    return _over_shards(map_shards, table, scale, seed, kernel, args, jobs)
+    return _over_shards(map_shards, table, scale, seed, kernel, args)
 
 
 def _shard_series(shard, machines: Table) -> dict[int, MachineLoadSeries]:

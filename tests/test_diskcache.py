@@ -1,10 +1,15 @@
 """Unit tests for the content-addressed dataset disk cache."""
 
+import collections
 import dataclasses
+import pickle
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.diskcache import (
     MISS,
     DiskCache,
@@ -22,6 +27,44 @@ class Payload:
     arr: np.ndarray
     table: Table
     nested: dict
+
+
+class Sample(NamedTuple):
+    label: str
+    values: np.ndarray
+
+
+class Pair(tuple):
+    """A user type built on tuple."""
+
+
+def _assert_same(got, want, where="obj"):
+    """Equal value by value and type by type; arrays bit-identical."""
+    assert type(got) is type(want), where
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype, where
+        assert np.array_equal(
+            got, want, equal_nan=want.dtype.kind in "fc"
+        ), where
+    elif isinstance(want, Table):
+        assert got.column_names == want.column_names, where
+        for name in want.column_names:
+            _assert_same(got[name], want[name], f"{where}[{name!r}]")
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            _assert_same(
+                getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}"
+            )
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
 
 
 def _payload(seed: int = 0) -> Payload:
@@ -105,6 +148,26 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded[1], np.arange(3))
         assert loaded[2][0] == "x"
 
+    def test_container_types_survive(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        obj = {
+            "sample": Sample("s", np.arange(5, dtype=np.int16)),
+            "ordered": collections.OrderedDict([("z", 1), ("a", 2)]),
+            "grouped": collections.defaultdict(list, {"k": [np.float32(1.5)]}),
+            "pair": Pair((np.linspace(0, 1, 4), "x")),
+        }
+        cache.put("9" * 64, obj)
+        loaded = cache.get("9" * 64)
+        _assert_same(loaded, obj)
+        # The defaultdict keeps its factory, not just its type.
+        assert loaded["grouped"]["new"] == []
+
+    def test_unpicklable_object_leaves_nothing(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            cache.put("6" * 64, {"f": lambda: None})
+        assert not (tmp_path / "cache").exists()
+
     def test_miss_on_absent_key(self, tmp_path):
         cache = DiskCache(tmp_path)
         assert cache.get("b" * 64) is MISS
@@ -127,6 +190,31 @@ class TestRoundTrip:
         assert cache.stats.puts == 1
         assert cache.get("d" * 64) == [1, 2, 3]
         assert cache.stats.hits == 1
+
+
+class TestRealTraffic:
+    """What the lint cache and the dataset cache actually store."""
+
+    def test_module_summary_round_trips(self, tmp_path):
+        from repro.analysis.graph import summarize_module
+
+        path = Path(repro.__file__).parent / "experiments" / "datasets.py"
+        summary = summarize_module(
+            path.read_text(),
+            "repro.experiments.datasets",
+            "src/repro/experiments/datasets.py",
+            "repro",
+        )
+        assert summary.functions
+        cache = DiskCache(tmp_path)
+        cache.put("8" * 64, summary)
+        _assert_same(cache.get("8" * 64), summary)
+
+    def test_sim_result_round_trips(self, tmp_path, tiny_sim_result):
+        _, result = tiny_sim_result
+        cache = DiskCache(tmp_path)
+        cache.put("7" * 64, result)
+        _assert_same(cache.get("7" * 64), result)
 
 
 def _truncate(data: bytes) -> bytes:
@@ -196,19 +284,14 @@ class TestQuarantine:
         assert keys[0] not in parked  # oldest pruned
         assert cache.stats.quarantined == 12
 
-    def test_concurrently_evicted_entry_is_plain_miss(
-        self, tmp_path, monkeypatch
-    ):
+    def test_concurrently_evicted_entry_is_plain_miss(self, tmp_path):
         # Another process may evict an entry between our existence check
-        # and the read; that must read as a miss, not as corruption.
+        # and the read; that must read as a miss, not as corruption. An
+        # rmtree caught mid-way leaves meta.json without the skeleton.
         cache = DiskCache(tmp_path)
         key = "b" * 64
         cache.put(key, {"x": 1})
-
-        def vanish(fh):
-            raise FileNotFoundError(getattr(fh, "name", "skeleton.pkl"))
-
-        monkeypatch.setattr("repro.core.diskcache.pickle.load", vanish)
+        (cache._entry_dir(key) / "skeleton.pkl").unlink()
         assert cache.get(key) is MISS
         assert cache.stats.misses == 1
         assert cache.stats.errors == 0
@@ -318,12 +401,11 @@ class TestDirectoryEntries:
         (src / "nested" / "b.npy").write_bytes(b"y" * nbytes)
         return src
 
-    def test_round_trip_copy(self, tmp_path):
+    def test_round_trip_keeps_nested_files(self, tmp_path):
         cache = DiskCache(tmp_path / "cache", max_bytes=None, max_entries=None)
         src = self._tree(tmp_path)
         key = "d" * 64
         cache.put_path(key, src)
-        assert src.is_dir()  # copy leaves the source alone
         payload = cache.get_path(key)
         assert payload is not MISS
         assert (payload / "a.npy").read_bytes() == b"x" * 1000
@@ -332,7 +414,7 @@ class TestDirectoryEntries:
     def test_move_consumes_source(self, tmp_path):
         cache = DiskCache(tmp_path / "cache", max_bytes=None, max_entries=None)
         src = self._tree(tmp_path)
-        cache.put_path("e" * 64, src, move=True)
+        cache.put_path("e" * 64, src)
         assert not src.exists()
         assert cache.get_path("e" * 64) is not MISS
 
@@ -344,7 +426,7 @@ class TestDirectoryEntries:
     def test_accounting_counts_every_nested_file(self, tmp_path):
         cache = DiskCache(tmp_path / "cache", max_bytes=None, max_entries=None)
         src = self._tree(tmp_path, nbytes=5000)
-        cache.put_path("a" * 64, src, move=True)
+        cache.put_path("a" * 64, src)
         # Both payload files plus skeleton/meta must be visible to the
         # byte budget; the old iterdir-level accounting saw none of the
         # nested payload bytes.
@@ -356,14 +438,14 @@ class TestDirectoryEntries:
         cache = DiskCache(tmp_path / "cache", max_bytes=1, max_entries=None)
         for i, c in enumerate("ab"):
             key = c * 64
-            cache.put_path(key, self._tree(tmp_path, name=f"src{i}"), move=True)
+            cache.put_path(key, self._tree(tmp_path, name=f"src{i}"))
             os.utime(tmp_path / "cache" / key[:2] / key, (1000 + i, 1000 + i))
         cache._evict()
         assert len(cache.entries()) <= 1
 
     def test_object_get_on_dir_entry_is_quarantined_miss(self, tmp_path):
         cache = DiskCache(tmp_path / "cache", max_bytes=None, max_entries=None)
-        cache.put_path("b" * 64, self._tree(tmp_path), move=True)
+        cache.put_path("b" * 64, self._tree(tmp_path))
         # get_path on an entry whose payload dir was destroyed recovers
         # as a miss instead of handing out a broken path.
         payload = cache.get_path("b" * 64)

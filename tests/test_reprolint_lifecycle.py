@@ -640,9 +640,9 @@ class TestOutputs:
             for loc in related
         )
 
-    def test_diagnostic_related_roundtrips(self, project):
-        from repro.analysis.diagnostics import Diagnostic
-
+    def test_diagnostic_related_roundtrips(self, project, tmp_path):
+        # The warm run serves the cold run's findings from the lint
+        # cache, evidence chain included, without analyzing the file.
         project.write(
             "src/repro/core/store.py",
             """\
@@ -655,10 +655,12 @@ class TestOutputs:
                 os.rename(tmp, path)
             """,
         )
-        diags = only(project.lint(), "REP802")
-        assert diags
-        diag = next(d for d in diags if d.related)
-        assert Diagnostic.from_dict(diag.to_dict()) == diag
+        cache = tmp_path / "lint-cache"
+        cold = only(project.lint(cache_dir=cache), "REP802")
+        assert any(d.related for d in cold)
+        warm_run = project.lint(cache_dir=cache)
+        assert warm_run.files_analyzed == 0
+        assert only(warm_run, "REP802") == cold
 
 
 # -- mutant gate --------------------------------------------------------------
