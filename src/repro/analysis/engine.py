@@ -340,6 +340,17 @@ def _parse_error_payload(relpath: str, summary: ModuleSummary) -> dict:
     return {"diags": [], "parse": [diag]}
 
 
+def _is_payload(entry: object) -> bool:
+    """True when a cached diagnostics entry is the payload this engine
+    writes: ``diags`` and ``parse`` both lists of :class:`Diagnostic`.
+    Anything else (another version's format) reads as a miss."""
+    return isinstance(entry, dict) and all(
+        isinstance(entry.get(part), list)
+        and all(isinstance(diag, Diagnostic) for diag in entry[part])
+        for part in ("diags", "parse")
+    )
+
+
 def _preorder(tree: ast.Module) -> list[ast.AST]:
     """Every node of ``tree`` in depth-first preorder, children in
     field order: the order ``ast.NodeVisitor`` visits them."""
@@ -614,7 +625,7 @@ def lint_paths(
             )
             diag_keys[info.relpath] = key
             hit = cache.get(key)
-            if isinstance(hit, dict) and "diags" in hit:
+            if _is_payload(hit):
                 payloads[info.relpath] = hit
                 run.files_cached += 1
                 continue

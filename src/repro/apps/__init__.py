@@ -5,13 +5,12 @@ from .consolidation import (
     consolidation_potential,
     pack_demands,
 )
-from .users import UserSummary, jobs_per_user, top_user_share, user_summary
+from .users import UserSummary, top_user_share, user_summary
 
 __all__ = [
     "ConsolidationReport",
     "UserSummary",
     "consolidation_potential",
-    "jobs_per_user",
     "pack_demands",
     "top_user_share",
     "user_summary",

@@ -17,13 +17,7 @@ from ..core.fairness import jain_fairness
 from ..core.masscount import MassCount, mass_count
 from ..core.table import Table
 
-__all__ = ["UserSummary", "user_summary", "top_user_share", "jobs_per_user"]
-
-
-def jobs_per_user(jobs: Table) -> dict[int, int]:
-    """Job count per user id."""
-    users, counts = np.unique(np.asarray(jobs["user_id"]), return_counts=True)
-    return {int(u): int(c) for u, c in zip(users, counts)}
+__all__ = ["UserSummary", "user_summary", "top_user_share"]
 
 
 def top_user_share(jobs: Table, k: int = 10) -> float:

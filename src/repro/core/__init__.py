@@ -7,18 +7,16 @@ from .compare import (
     job_interarrival_times,
 )
 from .diskcache import MISS, CacheStats, DiskCache, cache_key, fingerprint
-from .distance import cdf_area_distance, ks_two_sample, stochastically_smaller
 from .distributions import (
     BoundedPareto,
     Deterministic,
     Distribution,
     Exponential,
-    HyperExponential,
     LogNormal,
     Mixture,
     Uniform,
 )
-from .ecdf import ECDF, binned_pdf, ecdf, evaluate_cdf, histogram_counts, quantile
+from .ecdf import ECDF, ecdf, histogram_counts
 from .fit import (
     CANDIDATE_FAMILIES,
     FittedModel,
@@ -43,14 +41,7 @@ from .kernels import (
 from .masscount import MassCount, joint_ratio_label, mass_count
 from .noise import autocorrelation, mean_filter, noise_series, noise_stats
 from .report import format_number, render_kv, render_table
-from .spectral import (
-    acf,
-    daily_profile_amplitude,
-    diurnal_strength,
-    dominant_period,
-    folded_daily_profile,
-    periodogram,
-)
+from .spectral import daily_profile_amplitude, folded_daily_profile
 from .segments import (
     DEFAULT_USAGE_LEVELS,
     QUEUE_STATE_LEVELS,
@@ -60,10 +51,10 @@ from .segments import (
     level_durations,
     usage_level_labels,
 )
-from .summary import SampleSummary, fraction_below, fraction_between, summarize
+from .summary import fraction_below
 from .table import Table, concat_tables
 from .timing import StageStats, Timings, render_timings
-from .usage import cpu_usage_eq4, memory_usage_mb
+from .usage import memory_usage_mb
 
 __all__ = [
     "BoundedPareto",
@@ -78,7 +69,6 @@ __all__ = [
     "Distribution",
     "Exponential",
     "FittedModel",
-    "HyperExponential",
     "LogNormal",
     "MISS",
     "Mixture",
@@ -90,11 +80,7 @@ __all__ = [
     "fingerprint",
     "concat_tables",
     "job_interarrival_times",
-    "acf",
-    "cdf_area_distance",
     "daily_profile_amplitude",
-    "diurnal_strength",
-    "dominant_period",
     "fit_best",
     "folded_daily_profile",
     "fit_bounded_pareto",
@@ -102,27 +88,19 @@ __all__ = [
     "fit_lognormal",
     "fit_weibull",
     "ks_statistic",
-    "ks_two_sample",
-    "periodogram",
-    "stochastically_smaller",
     "DEFAULT_USAGE_LEVELS",
     "ECDF",
     "MassCount",
     "QUEUE_STATE_LEVELS",
-    "SampleSummary",
     "Segments",
     "SubmissionRateStats",
     "SystemWorkload",
     "autocorrelation",
-    "binned_pdf",
     "compare_systems",
     "constant_segments",
-    "cpu_usage_eq4",
     "discretize",
     "ecdf",
-    "evaluate_cdf",
     "fraction_below",
-    "fraction_between",
     "format_number",
     "histogram_counts",
     "hourly_counts",
@@ -134,11 +112,9 @@ __all__ = [
     "memory_usage_mb",
     "noise_series",
     "noise_stats",
-    "quantile",
     "render_kv",
     "render_table",
     "render_timings",
     "submission_rate_stats",
-    "summarize",
     "usage_level_labels",
 ]

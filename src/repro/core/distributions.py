@@ -1,9 +1,9 @@
 """Distribution toolkit for workload synthesis.
 
 Provides the heavy-tailed building blocks trace models need — bounded
-Pareto, truncated lognormal, hyperexponential and weighted mixtures —
-all drawing from an injected :class:`numpy.random.Generator` so every
-synthetic trace is reproducible from its seed.
+Pareto, truncated lognormal and weighted mixtures — all drawing from
+an injected :class:`numpy.random.Generator` so every synthetic trace
+is reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "Uniform",
     "LogNormal",
     "BoundedPareto",
-    "HyperExponential",
     "Mixture",
     "Deterministic",
 ]
@@ -154,30 +153,6 @@ class BoundedPareto(Distribution):
         return float(
             (a / (1.0 - a)) * lo**a * (hi ** (1.0 - a) - lo ** (1.0 - a)) / norm
         )
-
-
-@dataclass(frozen=True)
-class HyperExponential(Distribution):
-    """Mixture of exponentials — a classic high-variance workload model."""
-
-    means: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.means) != len(self.weights) or not self.means:
-            raise ValueError("means and weights must be equal-length, non-empty")
-        if any(m <= 0 for m in self.means):
-            raise ValueError("all means must be positive")
-        if any(w < 0 for w in self.weights) or abs(sum(self.weights) - 1) > 1e-9:
-            raise ValueError("weights must be non-negative and sum to 1")
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        choice = rng.choice(len(self.means), size=size, p=self.weights)
-        out = rng.exponential(1.0, size)
-        return out * np.asarray(self.means)[choice]
-
-    def mean(self) -> float:
-        return float(np.dot(self.means, self.weights))
 
 
 class Mixture(Distribution):

@@ -1,8 +1,8 @@
 """Empirical distribution functions and histograms.
 
-The paper's workload figures (Figs. 3, 5, 6) are empirical CDFs; Fig. 2
-is a histogram and Fig. 7 a binned PDF. All functions are vectorized
-and operate on plain 1-D arrays.
+The paper's workload figures (Figs. 3, 5, 6) are empirical CDFs and
+Fig. 2 is a histogram. All functions are vectorized and operate on
+plain 1-D arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ECDF", "ecdf", "evaluate_cdf", "binned_pdf", "histogram_counts", "quantile"]
+__all__ = ["ECDF", "ecdf", "histogram_counts"]
 
 
 @dataclass(frozen=True)
@@ -68,26 +68,6 @@ def ecdf(sample: np.ndarray) -> ECDF:
     return ECDF(values=values, probabilities=probabilities)
 
 
-def evaluate_cdf(sample: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Convenience: fraction of ``sample`` <= each of ``points``."""
-    return np.asarray(ecdf(sample)(np.asarray(points, dtype=np.float64)))
-
-
-def binned_pdf(
-    sample: np.ndarray, bins: int | np.ndarray = 50, range_: tuple[float, float] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probability mass per bin (sums to 1), as in the paper's Fig. 7.
-
-    Returns ``(bin_centers, mass)``.
-    """
-    sample = np.asarray(sample, dtype=np.float64)
-    counts, edges = np.histogram(sample, bins=bins, range=range_)
-    total = counts.sum()
-    mass = counts / total if total else counts.astype(np.float64)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, mass
-
-
 def histogram_counts(values: np.ndarray, categories: np.ndarray) -> np.ndarray:
     """Count occurrences of each category value (Fig. 2 histograms)."""
     values = np.asarray(values)
@@ -95,8 +75,3 @@ def histogram_counts(values: np.ndarray, categories: np.ndarray) -> np.ndarray:
     return np.array(
         [int(np.count_nonzero(values == c)) for c in categories], dtype=np.int64
     )
-
-
-def quantile(sample: np.ndarray, q: float) -> float:
-    """ECDF-consistent quantile of a sample."""
-    return float(ecdf(sample).quantile(q))

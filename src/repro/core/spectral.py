@@ -1,87 +1,17 @@
-"""Temporal-structure analysis: ACF, periodogram, diurnal strength.
+"""Diurnal structure: the folded daily profile and its amplitude.
 
 The related work the paper builds on (H. Li's Grid workload dynamics)
 shows Grid load has strong diurnal periodicity exploitable for
 prediction, while Section IV finds Google load nearly structureless.
-These tools quantify that contrast: autocorrelation functions, an
-FFT periodogram, and a diurnal-strength index comparing spectral mass
-at the 24-hour frequency against the background.
+Folding a series by day and measuring the swing of the mean profile
+quantifies that contrast (extension ext1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .noise import autocorrelation
-
-__all__ = [
-    "acf",
-    "periodogram",
-    "dominant_period",
-    "diurnal_strength",
-    "folded_daily_profile",
-    "daily_profile_amplitude",
-]
-
-
-def acf(signal: np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocorrelation function for lags ``1..max_lag``."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
-    if signal.size <= max_lag:
-        raise ValueError("signal shorter than max_lag")
-    return np.asarray(
-        [autocorrelation(signal, lag) for lag in range(1, max_lag + 1)]
-    )
-
-
-def periodogram(
-    signal: np.ndarray, sample_period: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided power spectrum ``(frequencies_hz, power)`` of a series.
-
-    The mean is removed before the FFT so the DC component does not
-    swamp the spectrum.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.size < 4:
-        raise ValueError("signal too short for a periodogram")
-    if sample_period <= 0:
-        raise ValueError("sample_period must be positive")
-    x = signal - signal.mean()
-    spectrum = np.fft.rfft(x)
-    power = (np.abs(spectrum) ** 2) / signal.size
-    freqs = np.fft.rfftfreq(signal.size, d=sample_period)
-    return freqs[1:], power[1:]  # drop the (zeroed) DC bin
-
-
-def dominant_period(signal: np.ndarray, sample_period: float) -> float:
-    """Period (seconds) of the strongest spectral component."""
-    freqs, power = periodogram(signal, sample_period)
-    return float(1.0 / freqs[int(np.argmax(power))])
-
-
-def diurnal_strength(
-    signal: np.ndarray, sample_period: float, tolerance: float = 0.2
-) -> float:
-    """Spectral mass near the 24-hour frequency over the total mass.
-
-    ``tolerance`` widens the band around 1/86400 Hz (fractional). A
-    strongly diurnal Grid arrival series scores far above a flat Cloud
-    series; 0 means no daily structure at all.
-    """
-    if not 0 < tolerance < 1:
-        raise ValueError("tolerance must be in (0, 1)")
-    freqs, power = periodogram(signal, sample_period)
-    total = float(power.sum())
-    if total <= 0:
-        return 0.0
-    target = 1.0 / 86400.0
-    band = (freqs >= target * (1 - tolerance)) & (
-        freqs <= target * (1 + tolerance)
-    )
-    return float(power[band].sum() / total)
+__all__ = ["folded_daily_profile", "daily_profile_amplitude"]
 
 
 def folded_daily_profile(

@@ -2,48 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SampleSummary", "summarize", "fraction_below", "fraction_between"]
-
-
-@dataclass(frozen=True)
-class SampleSummary:
-    """Five-number-style summary of a 1-D sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "median": self.median,
-            "max": self.maximum,
-        }
-
-
-def summarize(sample: np.ndarray) -> SampleSummary:
-    """Summary statistics of a non-empty sample."""
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.size == 0:
-        raise ValueError("sample must be non-empty")
-    return SampleSummary(
-        count=int(sample.size),
-        mean=float(sample.mean()),
-        std=float(sample.std()),
-        minimum=float(sample.min()),
-        median=float(np.median(sample)),
-        maximum=float(sample.max()),
-    )
+__all__ = ["fraction_below"]
 
 
 def fraction_below(sample: np.ndarray, threshold: float) -> float:
@@ -52,13 +13,3 @@ def fraction_below(sample: np.ndarray, threshold: float) -> float:
     if sample.size == 0:
         raise ValueError("sample must be non-empty")
     return float(np.count_nonzero(sample < threshold) / sample.size)
-
-
-def fraction_between(sample: np.ndarray, low: float, high: float) -> float:
-    """Fraction of the sample in ``[low, high)``."""
-    if high <= low:
-        raise ValueError("high must exceed low")
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.size == 0:
-        raise ValueError("sample must be non-empty")
-    return float(np.count_nonzero((sample >= low) & (sample < high)) / sample.size)

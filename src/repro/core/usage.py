@@ -1,10 +1,11 @@
-"""Per-job resource-utilization metrics (Sec. III.4, Fig. 6).
+"""Per-job memory utilization (Sec. III.4, Fig. 6(b)).
 
-Implements Eq. (4) of the paper — CPU usage as cumulative per-processor
-execution time over wall-clock time — and the memory-usage convention
-used in Fig. 6(b), where Google's normalized memory values are rescaled
-by an assumed node capacity (32 GB or 64 GB) for comparison against the
-absolute values in Grid traces.
+Implements the memory-usage convention of Fig. 6(b), where Google's
+normalized memory values are rescaled by an assumed node capacity
+(32 GB or 64 GB) for comparison against the absolute values in Grid
+traces. The paper's Eq. (4), CPU usage as cumulative per-processor
+execution time over wall-clock time, is applied where Grid jobs are
+converted: :func:`repro.traces.convert.grid_jobs_to_job_table`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "cpu_usage_eq4",
     "memory_usage_mb",
     "GB",
 ]
@@ -20,27 +20,6 @@ __all__ = [
 #: Megabytes per gigabyte (the unit Fig. 6(b)'s x-axis is plotted in is MB
 #: in the hundreds, consistent with "Memory Utilization" up to ~1000).
 GB = 1024.0
-
-
-def cpu_usage_eq4(
-    num_cpus: np.ndarray, exe_time_per_cpu: np.ndarray, wall_clock: np.ndarray
-) -> np.ndarray:
-    """Eq. (4): ``num_cpus * exe_time_per_cpu / wall_clock``.
-
-    A sequential, fully busy job scores 1.0; an n-way parallel fully
-    busy job scores n; interactive jobs that mostly wait score < 1.
-    """
-    num_cpus = np.asarray(num_cpus, dtype=np.float64)
-    exe = np.asarray(exe_time_per_cpu, dtype=np.float64)
-    wall = np.asarray(wall_clock, dtype=np.float64)
-    if np.any(wall <= 0):
-        raise ValueError("wall-clock time must be positive")
-    if np.any(num_cpus <= 0):
-        raise ValueError("processor counts must be positive")
-    if np.any(exe < 0):
-        raise ValueError("execution time must be non-negative")
-    usage = num_cpus * exe / wall
-    return usage
 
 
 def memory_usage_mb(

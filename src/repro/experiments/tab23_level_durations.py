@@ -14,7 +14,7 @@ from ..hostload.levels import duration_stats_by_level, pooled_level_durations
 from .base import ExperimentResult, ResultTable
 from .datasets import fleet_series
 
-__all__ = ["run", "run_cpu", "run_mem"]
+__all__ = ["run_cpu", "run_mem"]
 
 
 def _table_for(attribute: str, series) -> tuple[ResultTable, dict[str, object]]:
@@ -112,24 +112,3 @@ def matched_level_comparison(series) -> bool:
             if c.avg_minutes < m.avg_minutes:
                 wins += 1
     return ties > 0 and wins * 2 > ties
-
-
-def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    """Both tables plus the CPU-vs-memory comparison metric."""
-    series = fleet_series(scale, seed)
-    cpu_table, cpu_metrics = _table_for("cpu", series)
-    mem_table, mem_metrics = _table_for("mem", series)
-    return ExperimentResult(
-        experiment_id="tab2+tab3",
-        title="Unchanged usage-level durations (CPU vs memory)",
-        tables=(cpu_table, mem_table),
-        metrics={
-            **cpu_metrics,
-            **mem_metrics,
-            "cpu_changes_faster_than_mem": matched_level_comparison(series),
-        },
-        paper_reference={
-            "finding": "CPU usage changes much more frequently than memory",
-        },
-        notes="The CPU/memory volatility ordering matches Tables II-III.",
-    )

@@ -8,7 +8,7 @@ from .levels import (
     pooled_level_durations,
     usage_mass_count,
 )
-from .maxload import MaxLoadDistribution, max_load_by_capacity, max_load_pdf
+from .maxload import MaxLoadDistribution, max_load_by_capacity
 from .modes import (
     FEATURE_NAMES,
     LoadModes,
@@ -16,7 +16,7 @@ from .modes import (
     kmeans,
     machine_features,
 )
-from .priority import band_share, band_usage, idle_fraction_for_band
+from .priority import band_share, band_usage
 from .queues import (
     QueueStateSeries,
     machine_queue_state,
@@ -38,14 +38,12 @@ __all__ = [
     "discover_modes",
     "band_usage",
     "duration_stats_by_level",
-    "idle_fraction_for_band",
     "kmeans",
     "machine_features",
     "level_snapshot",
     "machine_queue_state",
     "machine_series",
     "max_load_by_capacity",
-    "max_load_pdf",
     "pooled_level_durations",
     "running_state_durations",
     "task_spans",

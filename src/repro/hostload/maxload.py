@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.ecdf import binned_pdf
 from .series import MachineLoadSeries
 
-__all__ = ["MaxLoadDistribution", "max_load_by_capacity", "max_load_pdf"]
+__all__ = ["MaxLoadDistribution", "max_load_by_capacity"]
 
 _CAPACITY_ATTR = {
     "cpu": "cpu_capacity",
@@ -78,10 +77,3 @@ def max_load_by_capacity(
         )
         for cap, values in sorted(buckets.items())
     }
-
-
-def max_load_pdf(
-    dist: MaxLoadDistribution, bins: int = 25
-) -> tuple[np.ndarray, np.ndarray]:
-    """Binned PDF of the max loads over [0, 1] (Fig. 7's curves)."""
-    return binned_pdf(dist.max_loads, bins=bins, range_=(0.0, 1.0))

@@ -14,7 +14,7 @@ import numpy as np
 from ..traces.schema import PriorityBand
 from .series import MachineLoadSeries
 
-__all__ = ["band_usage", "idle_fraction_for_band", "band_share"]
+__all__ = ["band_usage", "band_share"]
 
 _BAND_COLUMNS = {
     ("cpu", "all"): "cpu",
@@ -42,24 +42,6 @@ def band_usage(
             f"supported: {sorted(_BAND_COLUMNS)}"
         ) from None
     return series.relative(column)
-
-
-def idle_fraction_for_band(
-    series: MachineLoadSeries,
-    attribute: str = "cpu",
-    band: str = "high",
-    threshold: float = 0.2,
-) -> float:
-    """Fraction of time the machine looks idle w.r.t. a priority band.
-
-    A sample counts as idle when usage from tasks at/above the band
-    stays below ``threshold`` of capacity — the paper's notion that a
-    busy machine can still be "quite idle" for high-priority work.
-    """
-    usage = band_usage(series, attribute, band)
-    if usage.size == 0:
-        return 0.0
-    return float(np.count_nonzero(usage < threshold) / usage.size)
 
 
 def band_share(

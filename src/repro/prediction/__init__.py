@@ -4,7 +4,6 @@ from .ar import AutoRegressive, fit_ar_coefficients
 from .baselines import EWMA, LastValue, MovingAverage, Predictor
 from .evaluate import PredictionScore, compare_predictors, evaluate_predictor
 from .markov import MarkovLevel, transition_matrix
-from .seasonal import SeasonalNaive
 
 __all__ = [
     "AutoRegressive",
@@ -14,7 +13,6 @@ __all__ = [
     "MovingAverage",
     "PredictionScore",
     "Predictor",
-    "SeasonalNaive",
     "compare_predictors",
     "evaluate_predictor",
     "fit_ar_coefficients",

@@ -1,9 +1,7 @@
 """Synthetic workload generation calibrated to the paper's statistics."""
 
 from .arrivals import (
-    ArrivalProcess,
     DoublyStochasticArrivals,
-    PoissonArrivals,
     cv_for_fairness,
     diurnal_profile,
 )
@@ -12,7 +10,6 @@ from ..core.distributions import (
     Deterministic,
     Distribution,
     Exponential,
-    HyperExponential,
     LogNormal,
     Mixture,
     Uniform,
@@ -43,7 +40,6 @@ from .presets import (
 
 __all__ = [
     "AUVERGRID_TASK_LENGTH",
-    "ArrivalProcess",
     "BoundedPareto",
     "DAY",
     "DEFAULT_FLEET",
@@ -61,10 +57,8 @@ __all__ = [
     "GridHostConfig",
     "GridSystemPreset",
     "HOUR",
-    "HyperExponential",
     "LogNormal",
     "Mixture",
-    "PoissonArrivals",
     "TaskRequests",
     "Uniform",
     "cv_for_fairness",

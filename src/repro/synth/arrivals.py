@@ -18,8 +18,6 @@ import numpy as np
 from ..core.fairness import HOUR
 
 __all__ = [
-    "ArrivalProcess",
-    "PoissonArrivals",
     "DoublyStochasticArrivals",
     "cv_for_fairness",
     "diurnal_profile",
@@ -54,33 +52,8 @@ def diurnal_profile(hours: np.ndarray, amplitude: float, peak_hour: float = 14.0
     return 1.0 + amplitude * np.cos(phase)
 
 
-class ArrivalProcess:
-    """Interface: generate arrival timestamps over ``[0, horizon)``."""
-
-    def generate(self, rng: np.random.Generator, horizon: float) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PoissonArrivals(ArrivalProcess):
-    """Homogeneous Poisson process with a constant hourly rate."""
-
-    rate_per_hour: float
-
-    def __post_init__(self) -> None:
-        if self.rate_per_hour <= 0:
-            raise ValueError("rate must be positive")
-
-    def generate(self, rng: np.random.Generator, horizon: float) -> np.ndarray:
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        expected = self.rate_per_hour * horizon / HOUR
-        count = rng.poisson(expected)
-        return np.sort(rng.uniform(0.0, horizon, count))
-
-
-@dataclass(frozen=True)
-class DoublyStochasticArrivals(ArrivalProcess):
+class DoublyStochasticArrivals:
     """Gamma-modulated Poisson arrivals with optional diurnal shape.
 
     Per hour ``i``: rate ``lambda_i = mu * D(i) * G_i`` with ``D`` the

@@ -30,7 +30,6 @@ from .schema import (
     priority_band,
     priority_band_array,
 )
-from .slice import downsample_usage, select_machines, slice_time
 from .swf import read_swf, swf_table, write_swf
 from ..core.table import Table, concat_tables
 from .validate import ValidationError, validate_job_table, validate_trace
@@ -58,7 +57,6 @@ __all__ = [
     "ValidationError",
     "completion_mix",
     "concat_tables",
-    "downsample_usage",
     "grid_jobs_to_job_table",
     "gwa_table",
     "job_interarrival_times",
@@ -70,8 +68,6 @@ __all__ = [
     "read_gwa",
     "read_swf",
     "save_trace",
-    "select_machines",
-    "slice_time",
     "swf_table",
     "task_lengths",
     "validate_job_table",

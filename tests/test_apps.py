@@ -8,7 +8,7 @@ from repro.apps.consolidation import (
     consolidation_potential,
     pack_demands,
 )
-from repro.apps.users import jobs_per_user, top_user_share, user_summary
+from repro.apps.users import top_user_share, user_summary
 from repro.core.table import Table
 
 
@@ -115,10 +115,6 @@ class TestUsers:
                 "mem_usage": np.ones(n) * 0.1,
             }
         )
-
-    def test_jobs_per_user(self):
-        jobs = self._jobs([1, 1, 2, 3, 3, 3])
-        assert jobs_per_user(jobs) == {1: 2, 2: 1, 3: 3}
 
     def test_top_user_share(self):
         jobs = self._jobs([1, 1, 1, 2])

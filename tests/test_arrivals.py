@@ -6,7 +6,6 @@ import pytest
 from repro.core.fairness import hourly_counts, jain_fairness
 from repro.synth.arrivals import (
     DoublyStochasticArrivals,
-    PoissonArrivals,
     cv_for_fairness,
     diurnal_profile,
 )
@@ -52,25 +51,6 @@ class TestDiurnalProfile:
     def test_bad_amplitude(self):
         with pytest.raises(ValueError):
             diurnal_profile(np.arange(24), amplitude=1.0)
-
-
-class TestPoissonArrivals:
-    def test_rate(self):
-        rng = np.random.default_rng(0)
-        times = PoissonArrivals(100.0).generate(rng, 2 * DAY)
-        assert len(times) == pytest.approx(100 * 48, rel=0.05)
-
-    def test_sorted_within_horizon(self):
-        rng = np.random.default_rng(1)
-        times = PoissonArrivals(50.0).generate(rng, DAY)
-        assert np.all(np.diff(times) >= 0)
-        assert times.min() >= 0 and times.max() < DAY
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(0.0)
-        with pytest.raises(ValueError):
-            PoissonArrivals(1.0).generate(np.random.default_rng(0), -1.0)
 
 
 class TestDoublyStochastic:

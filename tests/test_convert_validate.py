@@ -18,20 +18,23 @@ from repro.traces.validate import (
 
 class TestGridConversion:
     def test_gwa_converts(self):
+        # The third job is interactive: it mostly waits, so Eq. (4) < 1.
         grid = gwa_table(
-            submit_time=np.array([0.0, 100.0]),
-            wait_time=np.array([10.0, 20.0]),
-            run_time=np.array([50.0, 60.0]),
-            num_procs=np.array([2, 4]),
-            avg_cpu_time=np.array([40.0, 60.0]),
-            used_memory=np.array([1024.0**2, 2 * 1024.0**2]),  # 1GB, 2GB
+            submit_time=np.array([0.0, 100.0, 200.0]),
+            wait_time=np.array([10.0, 20.0, 0.0]),
+            run_time=np.array([50.0, 60.0, 100.0]),
+            num_procs=np.array([2, 4, 1]),
+            avg_cpu_time=np.array([40.0, 60.0, 5.0]),
+            used_memory=np.array([1.0, 2.0, 1.0]) * 1024.0**2,  # 1, 2, 1 GB
         )
         jobs = grid_jobs_to_job_table(grid, mem_capacity_gb=32.0)
         assert set(jobs.column_names) == set(JOB_TABLE_SCHEMA)
         # Eq. (4): procs * per-cpu time / wall clock.
-        np.testing.assert_allclose(jobs["cpu_usage"], [2 * 40 / 50, 4 * 60 / 60])
-        np.testing.assert_allclose(jobs["end_time"], [60.0, 180.0])
-        np.testing.assert_allclose(jobs["mem_usage"], [1 / 32, 2 / 32])
+        np.testing.assert_allclose(
+            jobs["cpu_usage"], [2 * 40 / 50, 4 * 60 / 60, 5 / 100]
+        )
+        np.testing.assert_allclose(jobs["end_time"], [60.0, 180.0, 300.0])
+        np.testing.assert_allclose(jobs["mem_usage"], [1 / 32, 2 / 32, 1 / 32])
 
     def test_swf_converts(self):
         grid = swf_table(

@@ -7,7 +7,6 @@ from repro.core.distributions import (
     BoundedPareto,
     Deterministic,
     Exponential,
-    HyperExponential,
     LogNormal,
     Mixture,
     Uniform,
@@ -109,22 +108,6 @@ class TestBoundedPareto:
             BoundedPareto(alpha=0.0, low=1.0, high=2.0)
         with pytest.raises(ValueError):
             BoundedPareto(alpha=1.0, low=2.0, high=1.0)
-
-
-class TestHyperExponential:
-    def test_mean(self, rng):
-        d = HyperExponential(means=(1.0, 100.0), weights=(0.9, 0.1))
-        sample = d.sample(rng, 300_000)
-        assert d.mean() == pytest.approx(10.9)
-        assert sample.mean() == pytest.approx(10.9, rel=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HyperExponential(means=(1.0,), weights=(0.5,))
-        with pytest.raises(ValueError):
-            HyperExponential(means=(), weights=())
-        with pytest.raises(ValueError):
-            HyperExponential(means=(1.0, -2.0), weights=(0.5, 0.5))
 
 
 class TestMixture:

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ecdf import (
-    binned_pdf,
-    ecdf,
-    evaluate_cdf,
-    histogram_counts,
-    quantile,
-)
+from repro.core.ecdf import ecdf, histogram_counts
 
 
 class TestECDF:
@@ -64,35 +58,6 @@ class TestECDF:
         cdf = ecdf(rng.normal(size=500))
         assert np.all(np.diff(cdf.probabilities) >= 0)
         assert cdf.probabilities[-1] == pytest.approx(1.0)
-
-    def test_quantile_function_helper(self):
-        assert quantile(np.array([1.0, 2.0, 3.0]), 0.5) == 2.0
-
-
-class TestEvaluateCdf:
-    def test_matches_manual(self):
-        sample = np.array([1.0, 5.0, 10.0])
-        out = evaluate_cdf(sample, np.array([0.0, 5.0, 20.0]))
-        np.testing.assert_allclose(out, [0.0, 2 / 3, 1.0])
-
-
-class TestBinnedPdf:
-    def test_mass_sums_to_one(self):
-        rng = np.random.default_rng(1)
-        centers, mass = binned_pdf(rng.uniform(0, 1, 1000), bins=10)
-        assert mass.sum() == pytest.approx(1.0)
-        assert len(centers) == 10
-
-    def test_range_respected(self):
-        centers, mass = binned_pdf(
-            np.array([0.1, 0.9]), bins=2, range_=(0.0, 1.0)
-        )
-        np.testing.assert_allclose(centers, [0.25, 0.75])
-        np.testing.assert_allclose(mass, [0.5, 0.5])
-
-    def test_empty_bins_zero_mass(self):
-        _, mass = binned_pdf(np.array([0.5]), bins=4, range_=(0.0, 1.0))
-        assert np.count_nonzero(mass) == 1
 
 
 class TestHistogramCounts:

@@ -104,11 +104,12 @@ class TestHostLoadClaims:
         assert m["cpu_share_low_band"] > 0.4
 
     def test_tab23_cpu_faster_than_mem(self):
-        from repro.experiments.datasets import simulation_dataset
-        from repro.experiments.tab23_level_durations import run as run_tab23
+        from repro.experiments.datasets import fleet_series
+        from repro.experiments.tab23_level_durations import (
+            matched_level_comparison,
+        )
 
-        combined = run_tab23(scale="small")
-        assert combined.metrics["cpu_changes_faster_than_mem"]
+        assert matched_level_comparison(fleet_series("small", 0))
 
     def test_fig11_high_band_lighter(self, results):
         m = results["fig11"].metrics

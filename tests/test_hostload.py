@@ -8,12 +8,10 @@ from repro.hostload import (
     band_share,
     band_usage,
     duration_stats_by_level,
-    idle_fraction_for_band,
     level_snapshot,
     machine_queue_state,
     machine_series,
     max_load_by_capacity,
-    max_load_pdf,
     pooled_level_durations,
     running_state_durations,
     task_spans,
@@ -80,13 +78,6 @@ class TestMaxLoad:
         for dist in groups.values():
             assert 0 <= dist.fraction_at_capacity() <= 1
             assert 0 <= dist.mean_relative() <= 1 + 1e-9
-
-    def test_pdf_mass(self, series):
-        groups = max_load_by_capacity(series, "cpu")
-        dist = next(iter(groups.values()))
-        centers, mass = max_load_pdf(dist)
-        assert mass.sum() == pytest.approx(1.0)
-        assert len(centers) == len(mass)
 
     def test_unknown_attribute(self, series):
         with pytest.raises(ValueError):
@@ -180,12 +171,6 @@ class TestPriorityBands:
     def test_band_usage_unknown(self, series):
         with pytest.raises(ValueError):
             band_usage(series[0], "cpu", "bogus")
-
-    def test_idle_fraction_monotone_in_band(self, series):
-        s = series[0]
-        idle_all = idle_fraction_for_band(s, "cpu", "all", threshold=0.5)
-        idle_high = idle_fraction_for_band(s, "cpu", "high", threshold=0.5)
-        assert idle_high >= idle_all
 
     def test_band_share_sums(self, series):
         shares = band_share(series, "cpu")

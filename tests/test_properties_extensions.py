@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.apps.consolidation import pack_demands
-from repro.core.distance import cdf_area_distance, ks_two_sample
 from repro.core.fit import fit_exponential, fit_lognormal
 from repro.hostload.modes import kmeans
 
@@ -15,40 +14,6 @@ positive_floats = st.floats(
     min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-
-class TestDistanceProperties:
-    @given(
-        arrays(np.float64, st.integers(1, 100), elements=positive_floats),
-        arrays(np.float64, st.integers(1, 100), elements=positive_floats),
-    )
-    def test_ks_symmetric_and_bounded(self, a, b):
-        d = ks_two_sample(a, b)
-        assert 0 <= d <= 1
-        assert d == pytest.approx(ks_two_sample(b, a))
-
-    @given(arrays(np.float64, st.integers(1, 100), elements=positive_floats))
-    def test_self_distance_zero(self, a):
-        assert ks_two_sample(a, a) == 0.0
-        assert cdf_area_distance(a, a) == 0.0
-
-    @given(
-        arrays(np.float64, st.integers(1, 60), elements=positive_floats),
-        arrays(np.float64, st.integers(1, 60), elements=positive_floats),
-        arrays(np.float64, st.integers(1, 60), elements=positive_floats),
-    )
-    def test_ks_triangle_inequality(self, a, b, c):
-        assert ks_two_sample(a, c) <= (
-            ks_two_sample(a, b) + ks_two_sample(b, c) + 1e-12
-        )
-
-    @given(
-        arrays(np.float64, st.integers(1, 100), elements=positive_floats),
-        st.floats(min_value=0.01, max_value=100),
-    )
-    def test_area_distance_shift(self, a, shift):
-        """Shifting a sample by s moves the area distance to exactly s."""
-        assert cdf_area_distance(a, a + shift) == pytest.approx(shift)
 
 
 class TestFitProperties:

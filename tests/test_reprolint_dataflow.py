@@ -26,6 +26,7 @@ from repro.analysis import engine, lint_paths
 from repro.analysis.engine import SuppressionSpec, _parse_suppressions
 from repro.analysis.graph import build_project_graph, summarize_module
 from repro.analysis.reporters import render_sarif
+from repro.core.diskcache import DiskCache
 
 MINI_PYPROJECT = """\
 [project]
@@ -734,6 +735,36 @@ class TestIncrementalCache:
         assert [d.to_dict() for d in warm.all_diagnostics] == [
             d.to_dict() for d in cold.all_diagnostics
         ]
+
+    def test_stale_payload_format_is_a_miss(self, project, tmp_path):
+        # Diagnostics entries written as ``to_dict`` dicts (an older
+        # payload format) must be re-analyzed and put again, not served.
+        project.write("src/repro/core/a.py", "import random\n")
+        cache_dir = tmp_path / "lint-cache"
+        cold = project.lint(cache_dir=cache_dir)
+        assert [d.rule_id for d in cold.all_diagnostics] == ["REP101"]
+        store = DiskCache(cache_dir)
+        rewritten = 0
+        for key in store.entries():
+            entry = store.get(key)
+            if isinstance(entry, dict) and "diags" in entry:
+                store.put(
+                    key,
+                    {part: [d.to_dict() for d in entry[part]]
+                     for part in ("diags", "parse")},
+                )
+                rewritten += 1
+        assert rewritten == cold.files_checked
+        warm = project.lint(cache_dir=cache_dir)
+        # Only a.py's entry held a finding; an empty list reads the same
+        # in either format.
+        assert warm.files_analyzed == 1
+        assert warm.files_cached == cold.files_checked - 1
+        assert [d.to_dict() for d in warm.all_diagnostics] == [
+            d.to_dict() for d in cold.all_diagnostics
+        ]
+        again = project.lint(cache_dir=cache_dir)
+        assert again.files_analyzed == 0
 
 
 # -- parallel analysis --------------------------------------------------------

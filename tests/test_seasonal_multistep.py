@@ -1,14 +1,9 @@
-"""Unit tests for the seasonal predictor and multi-step evaluation."""
+"""Unit tests for multi-step prediction evaluation."""
 
 import numpy as np
 import pytest
 
-from repro.prediction import (
-    LastValue,
-    SeasonalNaive,
-    compare_predictors,
-    evaluate_predictor,
-)
+from repro.prediction import LastValue, evaluate_predictor
 
 DAY_SAMPLES = 288  # one day of 5-minute samples
 
@@ -21,54 +16,6 @@ def _diurnal(days=6, noise=0.01, seed=0):
         + 0.3 * np.sin(2 * np.pi * t / DAY_SAMPLES)
         + noise * rng.standard_normal(t.size)
     )
-
-
-class TestSeasonalNaive:
-    def test_exact_on_pure_period(self):
-        signal = np.tile(np.arange(4, dtype=float), 10)
-        pred = SeasonalNaive(season=4).predict_series(signal)
-        np.testing.assert_allclose(pred[4:], signal[4:])
-
-    def test_fallback_before_full_season(self):
-        signal = np.array([1.0, 2.0, 3.0])
-        pred = SeasonalNaive(season=10).predict_series(signal)
-        np.testing.assert_allclose(pred[1:], [1.0, 2.0])
-
-    def test_scalar_matches_series(self):
-        signal = _diurnal(days=3)
-        model = SeasonalNaive(season=DAY_SAMPLES)
-        series_pred = model.predict_series(signal)
-        for i in (50, 300, 700):
-            assert series_pred[i] == pytest.approx(
-                model.predict(signal[:i])
-            )
-
-    def test_beats_last_value_on_diurnal_signal(self):
-        signal = _diurnal()
-        scores = compare_predictors(
-            {"seasonal": SeasonalNaive(season=DAY_SAMPLES), "last": LastValue()},
-            signal,
-            horizon=12,  # one hour ahead: persistence lags the sine
-        )
-        by_name = {s.predictor: s.mse for s in scores}
-        assert by_name["seasonal"] < by_name["last"]
-
-    def test_useless_on_white_noise(self):
-        rng = np.random.default_rng(1)
-        signal = 0.5 + 0.1 * rng.standard_normal(2000)
-        scores = compare_predictors(
-            {"seasonal": SeasonalNaive(season=DAY_SAMPLES), "last": LastValue()},
-            signal,
-        )
-        by_name = {s.predictor: s.mse for s in scores}
-        # On structureless load the seasonal trick buys nothing.
-        assert by_name["seasonal"] == pytest.approx(
-            by_name["last"], rel=0.25
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeasonalNaive(season=0)
 
 
 class TestMultiStep:

@@ -1,77 +1,11 @@
-"""Unit tests for spectral analysis and distribution distances."""
+"""The folded daily profile contrasts Grid and Cloud submission streams."""
 
 import numpy as np
-import pytest
-
-from repro.core.distance import (
-    cdf_area_distance,
-    ks_two_sample,
-    stochastically_smaller,
-)
-from repro.core.spectral import (
-    acf,
-    diurnal_strength,
-    dominant_period,
-    periodogram,
-)
 
 DAY = 86400.0
 
 
-def _diurnal_signal(days=10, period_s=300.0, noise=0.0, seed=0):
-    rng = np.random.default_rng(seed)
-    t = np.arange(0, days * DAY, period_s)
-    return 0.5 + 0.4 * np.sin(2 * np.pi * t / DAY) + noise * rng.standard_normal(
-        t.size
-    )
-
-
-class TestAcf:
-    def test_length(self):
-        out = acf(np.random.default_rng(0).standard_normal(100), max_lag=10)
-        assert out.shape == (10,)
-
-    def test_periodic_signal_peaks_at_period(self):
-        x = np.tile([0.0, 1.0, 0.0, -1.0], 100)
-        out = acf(x, max_lag=8)
-        assert out[3] == pytest.approx(1.0, abs=0.05)  # lag 4 (index 3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            acf(np.zeros(10), max_lag=0)
-        with pytest.raises(ValueError):
-            acf(np.zeros(5), max_lag=10)
-
-
-class TestPeriodogram:
-    def test_dominant_period_of_diurnal_signal(self):
-        signal = _diurnal_signal()
-        period = dominant_period(signal, 300.0)
-        assert period == pytest.approx(DAY, rel=0.05)
-
-    def test_shapes(self):
-        freqs, power = periodogram(np.random.default_rng(1).random(256), 1.0)
-        assert freqs.shape == power.shape
-        assert np.all(power >= 0)
-        assert np.all(freqs > 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            periodogram(np.zeros(2), 1.0)
-        with pytest.raises(ValueError):
-            periodogram(np.zeros(100), 0.0)
-
-
 class TestDiurnalStrength:
-    def test_diurnal_beats_noise(self):
-        diurnal = _diurnal_signal(noise=0.02)
-        rng = np.random.default_rng(2)
-        flat = 0.5 + 0.05 * rng.standard_normal(diurnal.size)
-        s_diurnal = diurnal_strength(diurnal, 300.0)
-        s_flat = diurnal_strength(flat, 300.0)
-        assert s_diurnal > 10 * s_flat
-        assert s_diurnal > 0.5
-
     def test_grid_arrivals_more_diurnal_than_google(self):
         """The paper's key dynamic contrast, via folded daily profiles."""
         from repro.core.fairness import hourly_counts
@@ -93,67 +27,3 @@ class TestDiurnalStrength:
         a_google = daily_profile_amplitude(g_counts, 24)
         a_grid = daily_profile_amplitude(a_counts, 24)
         assert a_grid > 3 * a_google
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            diurnal_strength(np.zeros(100), 300.0, tolerance=0.0)
-
-    def test_constant_signal_zero(self):
-        assert diurnal_strength(np.full(1000, 0.5), 300.0) == 0.0
-
-
-class TestDistances:
-    def test_identical_samples_zero(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert ks_two_sample(x, x) == 0.0
-        assert cdf_area_distance(x, x) == 0.0
-
-    def test_disjoint_samples_ks_one(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([10.0, 20.0])
-        assert ks_two_sample(a, b) == 1.0
-
-    def test_area_equals_mean_shift(self):
-        rng = np.random.default_rng(3)
-        a = rng.uniform(0, 1, 5000)
-        b = a + 0.5
-        assert cdf_area_distance(a, b) == pytest.approx(0.5, abs=0.02)
-
-    def test_stochastic_dominance(self):
-        rng = np.random.default_rng(4)
-        small = rng.uniform(0, 1, 2000)
-        large = rng.uniform(0.5, 2.0, 2000)
-        assert stochastically_smaller(small, large)
-        assert not stochastically_smaller(large, small)
-
-    def test_tolerance(self):
-        a = np.array([1.0, 3.0])
-        b = np.array([2.0, 2.5])
-        assert not stochastically_smaller(a, b)
-        assert stochastically_smaller(a, b, tolerance=0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ks_two_sample(np.array([]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            stochastically_smaller(
-                np.array([1.0]), np.array([1.0]), tolerance=-1
-            )
-
-    def test_google_job_lengths_dominate_grid(self):
-        """Fig. 3's visual: the Google CDF lies left of AuverGrid's."""
-        from repro.synth import generate_google_jobs, generate_grid_jobs
-        from repro.synth.google_model import GoogleConfig
-        from repro.traces.convert import grid_jobs_to_job_table
-
-        horizon = 4 * DAY
-        google = generate_google_jobs(
-            horizon, seed=5, config=GoogleConfig(busy_window=None)
-        )
-        grid = grid_jobs_to_job_table(
-            generate_grid_jobs("AuverGrid", horizon, seed=6)
-        )
-        g_len = np.asarray(google["end_time"] - google["submit_time"])
-        a_len = np.asarray(grid["end_time"] - grid["submit_time"])
-        assert stochastically_smaller(g_len, a_len, tolerance=0.02)
-        assert ks_two_sample(g_len, a_len) > 0.5

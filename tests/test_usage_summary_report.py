@@ -1,41 +1,11 @@
-"""Unit tests for Eq. 4 usage, summaries and report rendering."""
+"""Unit tests for memory usage, summaries and report rendering."""
 
 import numpy as np
 import pytest
 
 from repro.core.report import format_number, render_kv, render_table
-from repro.core.summary import (
-    fraction_below,
-    fraction_between,
-    summarize,
-)
-from repro.core.usage import cpu_usage_eq4, memory_usage_mb
-
-
-class TestCpuUsageEq4:
-    def test_sequential_fully_busy(self):
-        out = cpu_usage_eq4(np.array([1.0]), np.array([100.0]), np.array([100.0]))
-        assert out[0] == pytest.approx(1.0)
-
-    def test_parallel_job(self):
-        out = cpu_usage_eq4(np.array([4.0]), np.array([50.0]), np.array([100.0]))
-        assert out[0] == pytest.approx(2.0)
-
-    def test_interactive_below_one(self):
-        out = cpu_usage_eq4(np.array([1.0]), np.array([5.0]), np.array([100.0]))
-        assert out[0] == pytest.approx(0.05)
-
-    def test_zero_wall_clock_rejected(self):
-        with pytest.raises(ValueError):
-            cpu_usage_eq4(np.array([1.0]), np.array([1.0]), np.array([0.0]))
-
-    def test_zero_procs_rejected(self):
-        with pytest.raises(ValueError):
-            cpu_usage_eq4(np.array([0.0]), np.array([1.0]), np.array([1.0]))
-
-    def test_negative_exe_rejected(self):
-        with pytest.raises(ValueError):
-            cpu_usage_eq4(np.array([1.0]), np.array([-1.0]), np.array([1.0]))
+from repro.core.summary import fraction_below
+from repro.core.usage import memory_usage_mb
 
 
 class TestMemoryUsage:
@@ -57,29 +27,8 @@ class TestMemoryUsage:
 
 
 class TestSummary:
-    def test_summarize(self):
-        s = summarize(np.array([1.0, 2.0, 3.0]))
-        assert s.count == 3
-        assert s.mean == pytest.approx(2.0)
-        assert s.median == pytest.approx(2.0)
-        assert s.minimum == 1.0
-        assert s.maximum == 3.0
-        assert "mean" in s.as_dict()
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize(np.array([]))
-
     def test_fraction_below(self):
         assert fraction_below(np.array([1.0, 2.0, 3.0, 4.0]), 3.0) == 0.5
-
-    def test_fraction_between(self):
-        x = np.array([0.0, 1.0, 2.0, 3.0])
-        assert fraction_between(x, 1.0, 3.0) == 0.5
-
-    def test_fraction_between_bad_range(self):
-        with pytest.raises(ValueError):
-            fraction_between(np.array([1.0]), 2.0, 1.0)
 
 
 class TestReport:
