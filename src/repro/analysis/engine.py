@@ -39,7 +39,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
-from ..core.diskcache import MISS, fingerprint
+from ..core.diskcache import fingerprint
 from .cache import LintCache
 from .config import LintConfig
 from .diagnostics import Diagnostic, DiagnosticSink, Severity, sort_key

@@ -18,19 +18,21 @@ concatenation, max unions, boundary stitching — the parallel result is
 byte-identical to the serial fold; every accumulator shipped in
 ``core.kernels``/``core.segments``/``core.fairness`` satisfies this.
 
-Blocks are one task kind of the shared executor
-(:mod:`repro.core.supervise`), which owns the worker mechanics: a
-one-shot process per attempt, waits on result pipes and sentinels
-together, a kill at the per-block timeout, seeded-backoff retries.
-Block workers fork from a **forkserver**: the run's, when the pass runs
-inside a :func:`~repro.core.supervise.forkserver` scope (an experiment
-run opens one around its fan-out), or else one the pass starts with
-this module and the kernel's module preloaded. An attempt costs a fork,
-not an interpreter start, and a worker exits as soon as the process
-that launched it is gone. They never fork from the caller, so
-nothing is smuggled through copy-on-write: the kernel and every
-argument cross a real pickle boundary into fresh module state
-(repro-lint REP303) and workers touch no module-level state (REP103).
+With ``jobs <= 1`` the whole pass runs inline, in the caller, one shard
+at a time; that is how an experiment run folds its tables (see
+``experiments/datasets.py``), so no process a run forks ever launches a
+block worker. Blocks of a pass with ``jobs > 1`` are one task kind of
+the shared executor (:mod:`repro.core.supervise`), which owns the
+worker mechanics: a one-shot process per attempt, waits on result pipes
+and sentinels together, a kill at the per-block timeout, seeded-backoff
+retries. Block workers fork from a **forkserver** the pass starts with
+this module and the kernel's module preloaded, and stops and reaps when
+it ends. An attempt costs a fork, not an interpreter start, and a
+worker exits as soon as the process that launched it is gone. They
+never fork from the caller, so nothing is smuggled through
+copy-on-write: the kernel and every argument cross a real pickle
+boundary into fresh module state (repro-lint REP303) and workers touch
+no module-level state (REP103).
 Failures are classified:
 
 ``crash`` / ``timeout``
@@ -60,8 +62,7 @@ workers start.
 Recovery counters (``mapreduce_retries``, ``mapreduce_crashes``,
 ``mapreduce_block_timeouts``, ``mapreduce_respawns``,
 ``mapreduce_stragglers``, ``mapreduce_inline``) accumulate into the
-optional ``timings`` so they surface in the run's recovery footer and
-``--json`` report.
+optional ``timings``.
 """
 
 from __future__ import annotations
@@ -183,12 +184,12 @@ def _block_main(
 def _exit_with_launcher() -> None:
     """End this worker as soon as the process that launched it is gone.
 
-    A launcher killed mid-pass (an experiment worker past its timeout or
-    the run deadline) never reaps its blocks. The forkserver hands each
-    worker the read end of its launcher's data pipe as the parent
-    sentinel, which reads EOF once the launcher has exited; a daemon
-    thread waits for that and exits the worker, so no block outlives
-    its launcher and the run's server can stop.
+    A launcher killed mid-pass never reaps its blocks. The forkserver
+    hands each worker the read end of its launcher's data pipe as the
+    parent sentinel, which reads EOF once the launcher has exited; a
+    daemon thread waits for that and exits the worker, so no block
+    outlives its launcher, and the pass's server, which runs until every
+    worker has closed its end of the server's ``alive`` pipe, exits too.
     """
     sentinel = multiprocessing.parent_process().sentinel
 

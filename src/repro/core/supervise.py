@@ -1,7 +1,8 @@
 """One supervised executor for one-shot worker processes.
 
-Both fan-outs of the reproduction run through this module: experiments
-(:mod:`repro.experiments.supervisor`) and shard blocks
+Both task kinds of the reproduction run through this module: the
+experiments of a run (:mod:`repro.experiments.supervisor`) and the
+shard blocks of a library map-reduce pass with ``jobs > 1``
 (:mod:`repro.core.mapreduce`). A task kind subclasses :class:`Executor`
 and supplies only what is particular to it — the child entry point,
 what the child's one message means, and any policy of its own. The
@@ -27,16 +28,14 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import multiprocessing.forkserver
-import os
 import sys
 import time
 from collections.abc import Callable, Hashable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from multiprocessing import resource_tracker
 from multiprocessing.connection import wait
 
-__all__ = ["Executor", "Policy", "backoff_delay", "forkserver"]
+__all__ = ["Executor", "Policy", "backoff_delay"]
 
 #: Supervision loop granularity: the longest the parent waits before it
 #: looks at deadlines again.
@@ -137,41 +136,20 @@ class _Running:
     kill_at: float | None  # monotonic deadline, None = no timeout
 
 
-#: Pid of the process whose :func:`forkserver` scope owns the running
-#: server, ``None`` while no scope is open. A process forked inside the
-#: scope inherits it along with the server's address and ``alive`` pipe.
-_owner: int | None = None
-
-
 @contextmanager
-def forkserver(preload: Sequence[str] = ()) -> Iterator[None]:
-    """Launch every ``forkserver`` worker of the scope from one server.
+def _forkserver(preload: Sequence[str]) -> Iterator[None]:
+    """Run one pass's workers from a forkserver of its own.
 
-    The outermost scope starts the server with ``preload`` imported in
-    it, and stops and reaps it on exit. A scope nested in it, in this
-    process or in one forked from it while it is open, launches through
-    that server and owns nothing; its ``preload`` is ignored, and a
-    worker imports whatever the server lacks itself.
-
-    The server exits only once every holder of its ``alive`` pipe has
-    closed it: the owner, each process forked inside the scope and each
-    worker launched through the server. So the owner's stop waits for
-    all of them, and a process forked inside the scope can rely on the
-    server for as long as it lives.
+    Starts the server with ``preload`` imported in it, and stops and
+    reaps it on exit. No server is left to a stop at process exit,
+    which would never run in a process that leaves through
+    ``os._exit`` or is SIGTERMed right after it reports.
     """
-    global _owner
-    if _owner is None:
-        _start_forkserver(preload)
-        _owner = os.getpid()
-        try:
-            yield
-        finally:
-            _owner = None
-            _stop_forkserver()
-    else:
-        if _owner != os.getpid():
-            _inherit_forkserver()
+    _start_forkserver(preload)
+    try:
         yield
+    finally:
+        _stop_forkserver()
 
 
 def _start_forkserver(preload: Sequence[str]) -> None:
@@ -187,29 +165,12 @@ def _start_forkserver(preload: Sequence[str]) -> None:
     multiprocessing.forkserver.ensure_running()
 
 
-# CPython 3.10-3.13 has no public API to stop a forkserver or to share
-# one with a forked child; these two reach into the module's singleton.
-
-
+# CPython 3.10-3.13 has no public API to stop a forkserver; this reaches
+# into the module's singleton.
 def _stop_forkserver() -> None:
     """Stop the forkserver and reap it with ``waitpid``."""
     # The stop CPython's own tests use.
     multiprocessing.forkserver._forkserver._stop()
-
-
-def _inherit_forkserver() -> None:
-    """Launch through the server of the process this one was forked from.
-
-    Every launch first calls the server's ``ensure_running``, which
-    checks the server with ``waitpid``. In a forked child the server is
-    a sibling, not a child, so ``waitpid`` raises ``ChildProcessError``.
-    The server outlives this process (see :func:`forkserver`), so the
-    check is skipped for the rest of this process's life; a launch then
-    only makes sure of the resource tracker, as ``ensure_running``
-    would.
-    """
-    server = multiprocessing.forkserver._forkserver
-    server.ensure_running = resource_tracker.ensure_running  # shadows the method
 
 
 def _terminate(worker: _Running) -> None:
@@ -241,22 +202,12 @@ class Executor:
     :meth:`elapsed`.
 
     With ``method="forkserver"`` every attempt is forked from a server
-    that has imported the worker's modules but holds none of the
-    caller's state. :meth:`run` runs the pass inside a :func:`forkserver`
-    scope and reaps every worker before the scope ends, however the
-    pass ends:
-
-    * Inside a run's scope (an experiment run opens one around its
-      fan-out when a block pass can fan out), the pass launches through
-      the run's server, from a forked experiment worker too, so the
-      server starts once per run rather than once per pass.
-    * Outside any scope the pass owns a server with ``preload``
-      imported, and stops and reaps it when the pass ends. No server
-      is left to a stop at process exit, which would never run in an
-      experiment worker: it is SIGTERMed right after it reports.
-    * CPython's forkserver never preloads ``__main__``, so each worker
-      re-runs the main module in ``prepare()``; that is cheap only once
-      the main module's imports are preloaded.
+    that has imported ``preload`` but holds none of the caller's state.
+    :meth:`run` starts that server for the pass and stops and reaps it,
+    with every worker, however the pass ends. CPython's forkserver
+    never preloads ``__main__``, so each worker re-runs the main module
+    in ``prepare()``; that is cheap only once the main module's imports
+    are preloaded.
     """
 
     def __init__(
@@ -374,7 +325,7 @@ class Executor:
     def run(self) -> None:
         """Schedule, wait and dispatch until no attempt is left."""
         if self._ctx.get_start_method() == "forkserver":
-            scope = forkserver(self._preload)
+            scope = _forkserver(self._preload)
         else:
             scope = nullcontext()
         with scope:

@@ -34,17 +34,11 @@ RECOVERY_COUNTERS = (
     "faults_injected",
     "cache_quarantined",
     "cache_errors",
-    # Out-of-core layer (sharded tables + supervised map-reduce).
+    # Out-of-core layer (sharded tables and their spills).
     "shards_quarantined",
     "shards_rederived",
     "spills_resumed",
     "spill_shards_reused",
-    "mapreduce_retries",
-    "mapreduce_respawns",
-    "mapreduce_crashes",
-    "mapreduce_block_timeouts",
-    "mapreduce_stragglers",
-    "mapreduce_inline",
 )
 
 

@@ -26,7 +26,10 @@ live. This module alone decides that from the active
 process, on the builder's in-memory table as the only shard; under
 ``sharded`` the table is spilled to a
 :class:`~repro.core.shard.ShardedTable` and the same kernel is folded
-over its shards by the supervised map-reduce. Every host-load
+over its shards, one at a time, in this process, by the map-reduce's
+inline path (:mod:`repro.core.mapreduce` at ``jobs=1``). A run's
+``--jobs`` forks experiment workers, and each folds its own tables, so
+no process a run forks launches a worker of its own. Every host-load
 experiment reads the per-machine series from :func:`fleet_series`,
 which cuts them from the machine-major ``machine_usage`` table with
 one such kernel; the series themselves are never cached.
@@ -52,7 +55,6 @@ from .. import __version__
 from ..core.diskcache import MISS, DiskCache, cache_key, fingerprint
 from ..core.mapreduce import map_reduce, map_shards
 from ..core.shard import ShardIntegrityError, ShardWriter, ShardedTable
-from ..core.supervise import Policy
 from ..core.table import Table
 from ..hostload.series import MachineLoadSeries, all_machine_series
 from ..sim.cluster import ClusterSimulator, SimConfig, SimResult
@@ -74,7 +76,6 @@ __all__ = [
     "ScaleSpec",
     "WorkloadDataset",
     "active_backend",
-    "blocks_fan_out",
     "configure_backend",
     "configure_cache",
     "dataset_cache",
@@ -223,22 +224,7 @@ _STATS = {
     "shards_rederived": 0,
     "spills_resumed": 0,
     "spill_shards_reused": 0,
-    "mapreduce_retries": 0,
-    "mapreduce_respawns": 0,
-    "mapreduce_crashes": 0,
-    "mapreduce_block_timeouts": 0,
-    "mapreduce_stragglers": 0,
-    "mapreduce_inline": 0,
 }
-
-
-class _StatsCounter:
-    """Timings-compatible counter sink writing into :data:`_STATS`."""
-
-    __slots__ = ()
-
-    def count(self, name: str, n: int = 1) -> None:
-        _STATS[name] = _STATS.get(name, 0) + n
 
 
 def default_cache_dir() -> Path:
@@ -407,33 +393,20 @@ class BackendSpec:
     ``memory`` (the default) hands a kernel the builder's in-memory
     table as its only shard, in this process. ``sharded`` spills the
     table to a :class:`repro.core.shard.ShardedTable` of
-    ``shard_rows``-row shards and folds the same kernel over them,
-    optionally across ``jobs`` block workers forked from a forkserver
-    (one per supervised run, see :func:`blocks_fan_out`). Both backends
-    run one set of kernels whose merges are exact, so output is
-    byte-identical for any ``shard_rows`` and ``jobs``; only peak
-    memory and wall-clock change.
+    ``shard_rows``-row shards and folds the same kernel over them, one
+    shard at a time, in the process that asks. Both backends run one
+    set of kernels whose merges are exact, so output is byte-identical
+    for any ``shard_rows``; only peak memory and wall-clock change.
     """
 
     name: str = "memory"
     shard_rows: int = 1_000_000
-    jobs: int = 1
-    #: Per-block wall-clock budget in the supervised map-reduce pool
-    #: (None disables) and extra attempts per transiently failed block.
-    block_timeout: float | None = None
-    block_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.name not in ("memory", "sharded"):
             raise ValueError(f"unknown backend {self.name!r}")
         if self.shard_rows <= 0:
             raise ValueError("shard_rows must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.block_timeout is not None and self.block_timeout <= 0:
-            raise ValueError("block_timeout must be positive")
-        if self.block_retries < 0:
-            raise ValueError("block_retries must be >= 0")
 
 
 #: The experiment backend; :func:`configure_backend` replaces it.
@@ -443,9 +416,8 @@ _BACKEND = BackendSpec()
 def configure_backend(spec: BackendSpec | None) -> BackendSpec:
     """Select the experiment backend (None restores the default).
 
-    The choice lives in this module only. Forked experiment workers
-    inherit it; map-reduce block workers never read it, since each
-    block gets the table root, kernel and fault hook as arguments.
+    The choice lives in this module only; forked experiment workers
+    inherit it.
     """
     global _BACKEND
     _BACKEND = spec if spec is not None else BackendSpec()
@@ -721,44 +693,13 @@ def _table_root(table: str, scale: str, seed: int, shard_rows: int) -> str:
     return _ROOTS[memo]
 
 
-def blocks_fan_out(scale: str, seed: int) -> bool:
-    """Whether a pass over some table can launch block workers.
-
-    True under the sharded backend with more than one job when some
-    table is longer than one shard; every other pass runs its blocks
-    inline. Builds the tables, so ask once the datasets are warm.
-    """
-    backend = active_backend()
-    return (
-        backend.name == "sharded"
-        and backend.jobs > 1
-        and any(
-            spec.build(scale, seed).num_rows > backend.shard_rows
-            for spec in _TABLES.values()
-        )
-    )
-
-
-def _shard_injector(kind: str):
-    """Fault-injection hook for map-reduce workers over this table kind."""
-    from . import faults  # lazy: faults imports this module at top level
-
-    plan = faults.plan_from_env()
-    if plan is None or not plan.has_shard_faults(kind):
-        return None
-    return faults.ShardFaultInjector(plan=plan, table=kind)
-
-
 def _over_shards(run, table, scale, seed, kernel, args):
-    """One supervised ``run`` (map_reduce/map_shards) over a table's spill.
+    """One inline ``run`` (map_reduce/map_shards) over a table's spill.
 
-    Worker count, per-block timeout and retries come from the active
-    backend. Shard damage found at open or by a block heals through
-    :func:`heal_sharded_table`, fault plans inject through the worker
-    hook, and recovery counters land in :func:`dataset_stats`.
+    The pass folds the shards here, one at a time. Shard damage found
+    at open or by the fold heals through :func:`heal_sharded_table`.
     """
-    backend = active_backend()
-    root = _table_root(table, scale, seed, backend.shard_rows)
+    root = _table_root(table, scale, seed, active_backend().shard_rows)
     try:
         shards = ShardedTable.open(root)
     except ShardIntegrityError as exc:
@@ -766,18 +707,7 @@ def _over_shards(run, table, scale, seed, kernel, args):
         if root is None:
             raise
         shards = ShardedTable.open(root)
-    return run(
-        shards,
-        kernel,
-        args=args,
-        jobs=backend.jobs,
-        config=Policy(
-            timeout=backend.block_timeout, retries=backend.block_retries
-        ),
-        inject=_shard_injector(_TABLES[table].kind),
-        heal=heal_sharded_table,
-        timings=_StatsCounter(),
-    )
+    return run(shards, kernel, args=args, heal=heal_sharded_table)
 
 
 def fold_table(
@@ -793,11 +723,10 @@ def fold_table(
     ``table`` names one of ``google_jobs``, ``task_durations`` and
     ``machine_usage``. Under the memory backend the builder's table is
     the only shard: the kernel runs once, here, on the table itself.
-    Under the sharded backend the table's spill is folded by a
-    supervised map-reduce in shard order, with the backend's worker
-    count; block results combine through the accumulator's ``merge``
-    method. Returns ``None`` for an empty table, like a zero-shard
-    map-reduce.
+    Under the sharded backend the table's spill is folded here, in
+    shard order; shard results combine through the accumulator's
+    ``merge`` method. Returns ``None`` for an empty table, like a
+    zero-shard map-reduce.
     """
     if active_backend().name == "memory":
         whole = _TABLES[table].build(scale, seed)
@@ -824,33 +753,24 @@ def map_table(
     return _over_shards(map_shards, table, scale, seed, kernel, args)
 
 
-def _shard_series(shard, machines: Table) -> dict[int, MachineLoadSeries]:
-    """Map kernel: the series of every machine in one usage shard.
-
-    Calls ``all_machine_series`` through this module's binding, which
-    ``bench/tracing.py`` wraps as the ``hostload.series`` layer; the
-    binding itself is never handed to a block worker, since a wrapped
-    function cannot be pickled by name.
-    """
-    return all_machine_series(shard, machines)
-
-
 @lru_cache(maxsize=4)
 def fleet_series(
     scale: str = "paper", seed: int = 0
 ) -> dict[int, MachineLoadSeries]:
     """Every simulated machine's load series, in machines-table order.
 
-    Cut from the ``machine_usage`` table by one kernel on each shard.
-    Shards are machine-aligned and machine-major, so merging their
-    dicts in shard order gives machines-table order on either backend.
-    Memoized like the builders it reads; callers treat the dict and
-    its series as read-only.
+    Cut from the ``machine_usage`` table by ``all_machine_series`` on
+    each shard, looked up through this module's binding, which
+    ``bench/tracing.py`` wraps as the ``hostload.series`` layer. Shards
+    are machine-aligned and machine-major, so merging their dicts in
+    shard order gives machines-table order on either backend. Memoized
+    like the builders it reads; callers treat the dict and its series
+    as read-only.
     """
     machines = simulation_dataset(scale, seed).machines
     series: dict[int, MachineLoadSeries] = {}
     for part in map_table(
-        "machine_usage", scale, seed, _shard_series, args=(machines,)
+        "machine_usage", scale, seed, all_machine_series, args=(machines,)
     ):
         series.update(part)
     return series

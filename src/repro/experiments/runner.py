@@ -197,26 +197,6 @@ def _parser() -> argparse.ArgumentParser:
         help="rows per shard for --backend sharded (default: 1000000)",
     )
     parser.add_argument(
-        "--block-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "kill a sharded map-reduce block worker stuck longer than "
-            "this and retry it (default: no block timeout)"
-        ),
-    )
-    parser.add_argument(
-        "--block-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "extra attempts per crashed/timed-out map-reduce block "
-            "before it runs inline (default: 2)"
-        ),
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
@@ -267,12 +247,7 @@ def _json_report(
         "seed": seed,
         "jobs": args.jobs,
         "run_id": run,
-        "backend": {
-            "name": args.backend,
-            "shard_rows": args.shard_rows,
-            "block_timeout": args.block_timeout,
-            "block_retries": args.block_retries,
-        },
+        "backend": {"name": args.backend, "shard_rows": args.shard_rows},
         "peak_rss_kb": int(peak_rss_kb),
         "cache": {
             "enabled": cache_dir is not None,
@@ -309,18 +284,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     if args.retries < 0:
         print(f"--retries must be >= 0, got {args.retries}", file=sys.stderr)
-        return 2
-    if args.block_retries < 0:
-        print(
-            f"--block-retries must be >= 0, got {args.block_retries}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.block_timeout is not None and args.block_timeout <= 0:
-        print(
-            f"--block-timeout must be > 0, got {args.block_timeout}",
-            file=sys.stderr,
-        )
         return 2
     for name in ("timeout", "deadline"):
         value = getattr(args, name)
@@ -400,19 +363,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     configure_cache(cache_dir)
-    configure_backend(
-        BackendSpec(
-            name=args.backend,
-            shard_rows=args.shard_rows,
-            jobs=args.jobs,
-            block_timeout=args.block_timeout,
-            block_retries=args.block_retries,
-        )
-    )
+    configure_backend(BackendSpec(name=args.backend, shard_rows=args.shard_rows))
     if args.fault_plan is not None:
-        # The shard-fault and spill hooks, built in each experiment
-        # worker, read the plan from the environment; export an explicit
-        # --fault-plan so the out-of-core fault kinds reach them too.
+        # The spill hook, built in each experiment worker, reads the
+        # plan from the environment; export an explicit --fault-plan so
+        # the torn-spill kind reaches it too.
         os.environ[PLAN_ENV] = args.fault_plan
     reset_dataset_stats()
 

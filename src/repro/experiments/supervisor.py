@@ -8,10 +8,10 @@ executor (:mod:`repro.core.supervise`), which owns the worker
 mechanics; this module adds what only experiments have:
 
 * Attempts run in **forked** workers, so every worker inherits the
-  dataset memo warmed once before the fan-out. When a block pass of
-  the run can fan out (:func:`~repro.experiments.datasets.blocks_fan_out`),
-  the fan-out runs inside one forkserver scope, so the block workers of
-  every experiment fork from one server that starts once per run.
+  dataset memo warmed once before the fan-out. A worker folds the
+  sharded tables its experiment reads itself, one shard at a time
+  (:func:`~repro.experiments.datasets.fold_table`), so a run has one
+  pool of workers and none of them launches a worker of its own.
 * Failures are classified — ``crash`` (worker died), ``timeout``
   (exceeded the per-experiment wall-clock budget and was killed),
   ``cache-corruption`` (a typed corruption error surfaced), or
@@ -46,14 +46,13 @@ import json
 import os
 import traceback
 from collections.abc import Mapping, Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import __version__
 from ..core.diskcache import CacheCorruptionError
 from ..core.fsutil import publish_atomically
-from ..core.supervise import Executor, Policy, forkserver
+from ..core.supervise import Executor, Policy
 from ..core.timing import Timings
 from . import datasets
 from .faults import FaultPlan
@@ -78,15 +77,6 @@ TRANSIENT_KINDS = frozenset({"crash", "timeout", "cache-corruption"})
 #: First-retry backoff, doubling per attempt up to the cap (seconds).
 BACKOFF_BASE = 0.25
 BACKOFF_CAP = 30.0
-#: What the run's block server imports before it forks a worker: every
-#: kernel's module (the registry imports them all), the block entry,
-#: and the CLI, which every worker's ``prepare()`` re-imports when the
-#: main module is ``repro-run``'s console script or a wrapper script.
-BLOCK_PRELOAD = (
-    "repro.experiments.registry",
-    "repro.core.mapreduce",
-    "repro.experiments.runner",
-)
 
 
 @dataclass
@@ -475,12 +465,7 @@ def run_supervised(
         run.results.update(resumed)
         for experiment_id in todo:
             run.submit(experiment_id)
-        if todo and datasets.blocks_fan_out(scale, seed):
-            scope = forkserver(BLOCK_PRELOAD)
-        else:
-            scope = nullcontext()
-        with scope:
-            run.run()
+        run.run()
         outcomes = [run.results[experiment_id] for experiment_id in ids]
 
     # Run-level counters: the parent's own traffic (the warm-up, or

@@ -266,11 +266,6 @@ class TestShardedBackend:
             rendered = run_experiment(exp_id, scale="small", seed=0).render()
             assert rendered == results[exp_id].render(), exp_id
 
-    def test_spawn_pool_identical(self, results, sharded_backend):
-        sharded_backend(shard_rows=4096, jobs=2)
-        rendered = run_experiment("fig7", scale="small", seed=0).render()
-        assert rendered == results["fig7"].render()
-
     def test_shard_size_invariant(self, results, sharded_backend):
         # At small scale 1,000-row usage shards hold one machine each
         # and 30,000-row shards hold all 16.
@@ -306,8 +301,6 @@ class TestShardedBackend:
         finally:
             datasets.reset_dataset_stats()
         assert stats["shard_spills"] == 0
-        mapreduce = {k: v for k, v in stats.items() if k.startswith("mapreduce_")}
-        assert mapreduce and not any(mapreduce.values()), mapreduce
         assert list(tmp_path.glob("repro-spill-*")) == []
 
     def test_runner_cli_backend_flag(self, capsys):
@@ -383,68 +376,6 @@ class TestShardedBackend:
         assert counters["shard_spills"] == 1
 
 
-class TestOutOfCoreChaos:
-    """Injected worker kill, shard corruption, and block hang must heal.
-
-    The acceptance property of the self-healing layer: under a fault
-    plan exercising every block fault kind, the sharded run's rendered
-    output is byte-identical to the clean in-memory run and the
-    recovery counters record what happened.
-    """
-
-    @pytest.mark.parametrize("exp_id", ["fig7", "fig13"])
-    def test_chaos_identical_and_counted(self, results, monkeypatch, exp_id):
-        # Both read the usage table through fleet_series' one pass.
-        import json
-
-        from repro.experiments.datasets import (
-            BackendSpec,
-            configure_backend,
-            dataset_stats,
-            reset_dataset_stats,
-        )
-        from repro.experiments.faults import PLAN_ENV
-
-        plan = [
-            # Attempt 1: the worker dies mid-block (respawn + retry).
-            {"experiment_id": "*", "kind": "kill-worker", "block": 0},
-            # Attempt 2: a shard is corrupted on disk (quarantine + heal).
-            # No block timeout: no fault here hangs, and a short one
-            # could end slow attempts on a loaded host and shift the
-            # attempt numbers the plan keys on (the timeout path is
-            # covered in test_mapreduce).
-            {
-                "experiment_id": "*",
-                "kind": "corrupt-shard",
-                "block": 0,
-                "attempt": 2,
-                "shard": 0,
-            },
-        ]
-        monkeypatch.setenv(PLAN_ENV, json.dumps(plan))
-        configure_backend(
-            BackendSpec(
-                name="sharded",
-                shard_rows=1024,
-                jobs=2,
-                block_retries=3,
-            )
-        )
-        reset_dataset_stats()
-        try:
-            rendered = run_experiment(exp_id, scale="small", seed=0).render()
-            stats = dataset_stats()
-        finally:
-            configure_backend(None)
-            reset_dataset_stats()
-        assert rendered == results[exp_id].render()
-        assert stats["mapreduce_crashes"] >= 1
-        assert stats["mapreduce_respawns"] >= 1
-        assert stats["mapreduce_retries"] >= 1
-        assert stats["shards_quarantined"] >= 1
-        assert stats["shards_rederived"] >= 1
-
-
 def _slow_table():
     import time
 
@@ -489,7 +420,7 @@ class TestShardedCacheRecovery:
             table.to_table()["x"], np.arange(50_000, dtype=np.float64)
         )
 
-    @pytest.mark.parametrize("damage", ["delete", "truncate"])
+    @pytest.mark.parametrize("damage", ["delete", "truncate", "flip"])
     def test_damaged_manifest_heals(self, results, tmp_path, damage):
         from pathlib import Path
 
@@ -501,15 +432,20 @@ class TestShardedCacheRecovery:
         )
         try:
             run_experiment("fig3", scale="small", seed=0)
-            manifest = (
-                Path(datasets._table_root("google_jobs", "small", 0, 4096))
-                / "manifest.json"
-            )
+            root = Path(datasets._table_root("google_jobs", "small", 0, 4096))
+            manifest = root / "manifest.json"
             if damage == "delete":
                 manifest.unlink()
-            else:
+            elif damage == "truncate":
                 text = manifest.read_text()
                 manifest.write_text(text[: len(text) // 2])
+            else:
+                # Past the npy header: the table still opens, and only
+                # the column's digest check finds the damage.
+                column = sorted((root / "shard-00000").glob("*.npy"))[0]
+                payload = bytearray(column.read_bytes())
+                payload[-1] ^= 0xFF
+                column.write_bytes(bytes(payload))
             datasets.configure_cache(tmp_path)  # a new run: memos dropped
             datasets.reset_dataset_stats()
             rendered = run_experiment("fig3", scale="small", seed=0).render()

@@ -11,15 +11,11 @@ from repro.core.diskcache import MISS, CacheCorruptionError
 from repro.core.timing import Timings
 from repro.experiments import datasets
 from repro.experiments.faults import (
-    BLOCK_FAULT_KINDS,
     PLAN_ENV,
-    SHARD_FAULT_KINDS,
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    ShardFaultInjector,
     corrupt_cache_entries,
-    corrupt_shard_column,
     plan_from_env,
     spill_fault_hook,
 )
@@ -57,8 +53,10 @@ class TestPlanParsing:
         assert plan.faults[0].seconds == 5
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultPlan.from_obj([{"experiment_id": "fig4", "kind": "explode"}])
+        # The block kinds are unknown too: no block worker runs them.
+        for kind in ("explode", "kill-worker", "hang-block", "corrupt-shard"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                FaultPlan.from_obj([{"experiment_id": "fig4", "kind": kind}])
 
     def test_attempt_must_be_one_based(self):
         with pytest.raises(ValueError, match="1-based"):
@@ -139,23 +137,16 @@ class TestPlanFromEnv:
         assert "injected failure" in err
 
     def test_invalid_plan_rejected_by_runner(self, monkeypatch, capsys):
-        monkeypatch.setenv(PLAN_ENV, '[{"experiment_id": "fig4", "kind": "x"}]')
-        rc = runner_main(["fig4", "--scale", "small", "--no-cache"])
-        assert rc == 2
-        assert "invalid fault plan" in capsys.readouterr().err
+        for kind in ("x", "kill-worker", "hang-block", "corrupt-shard"):
+            plan = json.dumps([{"experiment_id": "*", "kind": kind}])
+            monkeypatch.setenv(PLAN_ENV, plan)
+            rc = runner_main(["fig4", "--scale", "small", "--no-cache"])
+            assert rc == 2, kind
+            assert "invalid fault plan" in capsys.readouterr().err
 
 
 class TestShardFaultSpecs:
     """Validation of the out-of-core fault kinds."""
-
-    def test_block_kinds_require_block(self):
-        for kind in BLOCK_FAULT_KINDS:
-            with pytest.raises(ValueError, match="block"):
-                FaultSpec(experiment_id="*", kind=kind)
-
-    def test_corrupt_shard_requires_shard(self):
-        with pytest.raises(ValueError, match="shard"):
-            FaultSpec(experiment_id="*", kind="corrupt-shard", block=0)
 
     def test_torn_spill_requires_shard(self):
         with pytest.raises(ValueError, match="shard"):
@@ -163,43 +154,16 @@ class TestShardFaultSpecs:
 
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):
-            FaultSpec(experiment_id="*", kind="kill-worker", block=-1)
-        with pytest.raises(ValueError):
-            FaultSpec(
-                experiment_id="*", kind="torn-spill", shard=-2
-            )
+            FaultSpec(experiment_id="*", kind="torn-spill", shard=-2)
 
     def test_shard_kinds_skipped_by_experiment_lookup(self):
         # Experiment-level supervision must not fire on out-of-core
         # faults: they have their own injection points.
         plan = FaultPlan.from_obj(
-            [{"experiment_id": "*", "kind": "kill-worker", "block": 0}]
+            [{"experiment_id": "*", "kind": "torn-spill", "shard": 0}]
         )
         assert plan.lookup("fig7", 1) is None
         assert plan.lookup("*", 1) is None
-
-    def test_lookup_block_matches_table_block_attempt(self):
-        plan = FaultPlan.from_obj(
-            [
-                {
-                    "experiment_id": "machine_usage",
-                    "kind": "kill-worker",
-                    "block": 2,
-                    "attempt": 1,
-                }
-            ]
-        )
-        assert plan.lookup_block("machine_usage", 2, 1) is not None
-        assert plan.lookup_block("machine_usage", 2, 2) is None
-        assert plan.lookup_block("machine_usage", 1, 1) is None
-        assert plan.lookup_block("google_jobs", 2, 1) is None
-
-    def test_wildcard_table_matches_all(self):
-        plan = FaultPlan.from_obj(
-            [{"experiment_id": "*", "kind": "hang-block", "block": 0}]
-        )
-        assert plan.lookup_block("anything", 0, 1) is not None
-        assert plan.has_shard_faults("anything")
 
     def test_lookup_spill(self):
         plan = FaultPlan.from_obj(
@@ -208,63 +172,11 @@ class TestShardFaultSpecs:
         assert plan.lookup_spill("t", 3) is not None
         assert plan.lookup_spill("t", 2) is None
         assert plan.lookup_spill("u", 3) is None
-
-
-class TestShardFaultInjector:
-    def test_picklable_across_spawn_boundary(self):
-        import pickle
-
-        plan = FaultPlan.from_obj(
-            [{"experiment_id": "*", "kind": "kill-worker", "block": 1}]
+        wildcard = FaultPlan.from_obj(
+            [{"experiment_id": "*", "kind": "torn-spill", "shard": 3}]
         )
-        injector = ShardFaultInjector(plan=plan, table="t")
-        clone = pickle.loads(pickle.dumps(injector))
-        assert clone.plan.lookup_block("t", 1, 1) is not None
-
-    def test_unmatched_call_is_noop(self, tmp_path):
-        plan = FaultPlan.from_obj(
-            [{"experiment_id": "t", "kind": "kill-worker", "block": 5}]
-        )
-        injector = ShardFaultInjector(plan=plan, table="t")
-        injector(str(tmp_path), block=0, attempt=1)  # must not kill
-
-    def test_corrupt_shard_fires_through_injector(self, tmp_path):
-        from repro.core.shard import ShardedTable, write_table
-        from repro.core.table import Table
-
-        sharded = write_table(
-            Table({"x": np.arange(12.0)}), tmp_path / "t", 4
-        )
-        plan = FaultPlan.from_obj(
-            [
-                {
-                    "experiment_id": "t",
-                    "kind": "corrupt-shard",
-                    "block": 0,
-                    "shard": 1,
-                }
-            ]
-        )
-        ShardFaultInjector(plan=plan, table="t")(
-            str(sharded.root), block=0, attempt=1
-        )
-        # Structural validation still passes; the digest check catches it.
-        reopened = ShardedTable.open(sharded.root)
-        from repro.core.shard import ShardIntegrityError
-
-        with pytest.raises(ShardIntegrityError):
-            reopened.shard(1)
-
-    def test_corrupt_shard_column_returns_path(self, tmp_path):
-        from repro.core.shard import write_table
-        from repro.core.table import Table
-
-        sharded = write_table(
-            Table({"x": np.arange(8.0)}), tmp_path / "t", 4
-        )
-        hit = corrupt_shard_column(sharded.root, 0)
-        assert hit is not None and hit.endswith("x.npy")
-        assert corrupt_shard_column(sharded.root, 7) is None
+        assert wildcard.lookup_spill("anything", 3) is not None
+        assert spill_fault_hook(wildcard, "anything") is not None
 
 
 class TestSpillFaultHook:

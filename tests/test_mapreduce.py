@@ -13,7 +13,7 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -565,24 +565,23 @@ class TestWorkerStart:
     def test_sharded_cli_workers_start_without_warnings(self, tmp_path):
         # Under ``-m`` every block worker re-runs the main module; had
         # the forkserver preloaded it by name, runpy would warn once per
-        # worker. Small shards make the small-scale table span several
-        # blocks, so workers really start.
+        # worker. Four one-row shards make two blocks, so workers really
+        # start.
+        (tmp_path / "fold_main.py").write_text(
+            "import numpy as np\n"
+            "from repro.core.mapreduce import map_shards\n"
+            "from repro.core.shard import write_table\n"
+            "from repro.core.table import Table\n"
+            "\n"
+            "def first(shard):\n"
+            "    return int(np.asarray(shard['x'])[0])\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    table = write_table(Table({'x': np.arange(4)}), 'table', 1)\n"
+            "    print(map_shards(table, first, jobs=2))\n"
+        )
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments.runner",
-                "fig4",
-                "--scale",
-                "small",
-                "--backend",
-                "sharded",
-                "--jobs",
-                "2",
-                "--shard-rows",
-                "4096",
-                "--no-cache",
-            ],
+            [sys.executable, "-m", "fold_main"],
             capture_output=True,
             text=True,
             env=_env(),
@@ -590,45 +589,11 @@ class TestWorkerStart:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "Fig. 4" in proc.stdout
+        assert proc.stdout.strip() == "[0, 1, 2, 3]"
         assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
-    def test_run_server_preloads_the_cli_imports(self):
-        # Under ``repro-run`` or a wrapper script the main module imports
-        # the CLI, and every block worker re-runs it in ``prepare()``:
-        # whatever the run's server lacks, each worker imports itself.
-        from repro.experiments.supervisor import BLOCK_PRELOAD
 
-        def loaded(imports):
-            code = (
-                f"import sys; {imports}; "
-                "print(*(m for m in sys.modules if m.startswith('repro')))"
-            )
-            proc = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env=_env(),
-                timeout=60,
-            )
-            assert proc.returncode == 0, proc.stderr
-            return set(proc.stdout.split())
-
-        cli = loaded("import repro.experiments.runner")
-        preloaded = loaded("; ".join(f"import {m}" for m in BLOCK_PRELOAD))
-        missing = sorted(cli - preloaded)
-        assert not missing, missing
-
-
-# -- one server per run: forked launchers share it, blocks die with them ------
-
-
-def _is_forkserver(pid):
-    try:
-        cmdline = Path("/proc", str(pid), "cmdline").read_bytes()
-    except OSError:
-        return False
-    return b"multiprocessing.forkserver" in cmdline
+# -- a run forks no server; a pass's blocks die with their launcher ----------
 
 
 def _running(pid):
@@ -638,16 +603,6 @@ def _running(pid):
     except OSError:
         return False
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
-def _parent_pid(shard):
-    return os.getppid()
-
-
-def _launch_pass(table, conn):
-    """Forked launcher: one two-block pass, reporting each block's ppid."""
-    conn.send(map_shards(table, _parent_pid, jobs=2))
-    conn.close()
 
 
 @dataclass(frozen=True)
@@ -678,8 +633,7 @@ def _hanging_pass(table, directory):
 
 #: ``python -c`` script: the runner's CLI with every forkserver start
 #: recorded as the starting pid, one line each, in the file ``argv[1]``.
-#: Forked workers inherit the wrapper; ``-c`` leaves no main module for
-#: block workers to re-run.
+#: Forked workers inherit the wrapper.
 _RECORD_SERVER_STARTS = """
 import os, sys
 from repro.core import supervise
@@ -697,25 +651,23 @@ sys.exit(main(sys.argv[2:]))
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
 class TestRunServer:
-    """A supervised run starts one forkserver, in the process that opens
-    the scope; every launcher forked inside the scope launches through
-    it, and no block worker outlives its launcher."""
+    """A run starts no forkserver: its experiment workers fold their
+    shards inline. A library pass with ``jobs > 1`` starts its own, and
+    no block worker outlives its launcher."""
 
     @pytest.fixture
     def sharded(self, tmp_path):
         return write_table(Table({"x": np.arange(4)}), tmp_path / "t", 1)
 
     @pytest.mark.parametrize(
-        "shard_rows, servers",
-        [(["--shard-rows", "4096"], 1), ([], 0)],
+        "shard_rows",
+        [["--shard-rows", "4096"], []],
         ids=["multi-shard", "one-shard"],
     )
-    def test_sharded_run_starts_one_server_in_the_parent(
-        self, tmp_path, shard_rows, servers
-    ):
-        # At 4096 rows both experiments' tables span several shards;
-        # at the default every small-scale table is one shard, so no
-        # pass can fan out and none needs a server.
+    def test_sharded_run_starts_no_server(self, tmp_path, shard_rows):
+        # At 4096 rows both experiments' tables span several shards; at
+        # the default every small-scale table is one shard. Either way
+        # each experiment worker folds its shards itself.
         starts = tmp_path / "starts"
         proc = subprocess.Popen(
             [
@@ -744,60 +696,29 @@ class TestRunServer:
         assert proc.returncode == 0, err
         assert "Fig. 2" in out and "Fig. 4" in out
         recorded = starts.read_text().split() if starts.exists() else []
-        assert recorded == [str(proc.pid)] * servers
+        assert recorded == []
 
-    def test_forked_launchers_share_the_scope_server(self, sharded):
-        before = _children()
-        fork = multiprocessing.get_context("fork")
-        with supervise.forkserver((mapreduce.__name__, __name__)):
-            servers = {pid for pid in _children() - before if _is_forkserver(pid)}
-            launchers = []
-            for _ in range(2):
-                receive, send = fork.Pipe(duplex=False)
-                launcher = fork.Process(target=_launch_pass, args=(sharded, send))
-                launcher.start()
-                send.close()
-                launchers.append((launcher, receive))
-            parents = []
-            for launcher, receive in launchers:
-                parents.extend(receive.recv())
-                launcher.join(60)
-                assert launcher.exitcode == 0
-        assert len(servers) == 1
-        assert set(parents) == servers and len(parents) == 2 * 4
-        left = {pid for pid in _children() - before if not _is_resource_tracker(pid)}
-        assert not left, f"unreaped children: {sorted(left)}"
-
-    @pytest.mark.parametrize("scoped", [False, True], ids=["own-server", "run-server"])
+    @pytest.mark.parametrize("server", ["own-server"])
     def test_block_worker_exits_with_its_killed_launcher(
-        self, sharded, tmp_path, scoped
+        self, sharded, tmp_path, server
     ):
-        # Own server: the launcher's pass owns one, as outside any run.
-        # Run server: the launcher is forked inside a scope, like an
-        # experiment worker, and the scope's stop must not wait for the
-        # hung block.
+        # The launcher's pass starts its own server, as every pass does.
         marks = tmp_path / "marks"
         marks.mkdir()
         fork = multiprocessing.get_context("fork")
-        if scoped:
-            scope = supervise.forkserver((mapreduce.__name__, __name__))
-        else:
-            scope = nullcontext()
-        with scope:
-            launcher = fork.Process(target=_hanging_pass, args=(sharded, str(marks)))
-            launcher.start()
-            try:
-                deadline = time.monotonic() + 60
-                while not any(marks.iterdir()) and time.monotonic() < deadline:
-                    time.sleep(0.02)
-                (mark,) = marks.iterdir()
-            finally:
-                os.kill(launcher.pid, signal.SIGKILL)
-                launcher.join(10)
-            assert launcher.exitcode == -signal.SIGKILL
-            killed = time.monotonic()
-            block = int(mark.name)
-            while _running(block) and time.monotonic() < killed + 5:
+        launcher = fork.Process(target=_hanging_pass, args=(sharded, str(marks)))
+        launcher.start()
+        try:
+            deadline = time.monotonic() + 60
+            while not any(marks.iterdir()) and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert not _running(block), "block worker outlived its launcher"
-        assert time.monotonic() - killed < 10
+            (mark,) = marks.iterdir()
+        finally:
+            os.kill(launcher.pid, signal.SIGKILL)
+            launcher.join(10)
+        assert launcher.exitcode == -signal.SIGKILL
+        killed = time.monotonic()
+        block = int(mark.name)
+        while _running(block) and time.monotonic() < killed + 5:
+            time.sleep(0.02)
+        assert not _running(block), "block worker outlived its launcher"
