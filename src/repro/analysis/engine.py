@@ -32,13 +32,13 @@ from __future__ import annotations
 import ast
 import hashlib
 import io
-import os
 import re
 import tokenize
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
+from ..core.cpus import usable_cpus
 from ..core.diskcache import fingerprint
 from .cache import LintCache
 from .config import LintConfig
@@ -453,12 +453,8 @@ def _summarize_task(task: tuple[str, str | None, str, str]) -> ModuleSummary:
 
 def _resolve_jobs(jobs: int) -> int:
     """``jobs``, or for ``0`` the number of CPUs this process may run on
-    (its affinity mask where the platform has one, else every CPU)."""
-    if jobs > 0:
-        return jobs
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return max(1, os.cpu_count() or 1)
+    (:func:`~repro.core.cpus.usable_cpus`)."""
+    return jobs if jobs > 0 else usable_cpus()
 
 
 # -- the run ------------------------------------------------------------------

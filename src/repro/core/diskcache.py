@@ -188,8 +188,9 @@ def cache_key(**components: object) -> str:
 class _Pickler(pickle.Pickler):
     """Pickles an object, setting each array aside as ``a<index>.npy``.
 
-    Object arrays stay in the pickle: the ``.npy`` files are read back
-    with ``allow_pickle=False``.
+    Arrays that hold Python objects (object arrays, and structured
+    arrays with an object field) stay in the pickle: the ``.npy`` files
+    are read back with ``allow_pickle=False``.
     """
 
     def __init__(self, fh: BinaryIO) -> None:
@@ -197,7 +198,7 @@ class _Pickler(pickle.Pickler):
         self.arrays: list[np.ndarray] = []
 
     def persistent_id(self, obj: object) -> int | None:
-        if isinstance(obj, np.ndarray) and obj.dtype != object:
+        if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
             self.arrays.append(obj)
             return len(self.arrays) - 1
         return None

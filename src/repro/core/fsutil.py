@@ -58,17 +58,36 @@ def fsync_file(path: str | os.PathLike) -> None:
 def write_npy(path: str | os.PathLike, array: np.ndarray) -> str:
     """Write ``array`` as a bare, fsynced ``.npy`` file; return its sha256.
 
-    Serialized once in memory, so the digest covers exactly the bytes
-    that reach disk.
+    The file holds the bytes ``np.save`` writes for
+    ``np.ascontiguousarray(array)``: the ``.npy`` header, then the
+    array's own buffer, written and hashed in place without a serialized
+    copy. The digest covers exactly those bytes. Object arrays raise
+    :class:`TypeError` (their ``.npy`` form is a pickle), and a header
+    that needs format 3.0 (structured field names outside latin-1)
+    raises :class:`UnicodeEncodeError`.
     """
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(array))
-    payload = buf.getbuffer()
+    array = np.ascontiguousarray(array)
+    if array.dtype.hasobject:
+        raise TypeError(f"cannot write an object array ({array.dtype}) as .npy")
+    header = io.BytesIO()
+    fields = np.lib.format.header_data_from_array_1_0(array)
+    try:
+        np.lib.format.write_array_header_1_0(header, fields)
+    except ValueError:
+        # Too long for format 1.0's 16-bit header length: np.save falls
+        # back to format 2.0 the same way.
+        np.lib.format.write_array_header_2_0(header, fields)
+    # A byte view, not a memoryview: memoryview cannot export datetime64
+    # or timedelta64 buffers.
+    data = array.reshape(-1).view(np.uint8)
+    digest = hashlib.sha256(header.getbuffer())
+    digest.update(data)
     with open(path, "wb") as fh:
-        fh.write(payload)
+        fh.write(header.getbuffer())
+        fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
-    return hashlib.sha256(payload).hexdigest()
+    return digest.hexdigest()
 
 
 def file_sha256(path: str | os.PathLike) -> str:

@@ -21,7 +21,9 @@ length ~5.6 h with a 29-day maximum, ~59% abnormal completion events.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -414,7 +416,9 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
 #: deliberately independent of the caller's ``chunk_tasks`` — so the
 #: generated stream is invariant to how it is consumed: every block
 #: draws from its own :class:`numpy.random.SeedSequence`-spawned
-#: stream, and chunk boundaries only re-slice finished blocks.
+#: stream (so blocks can be sampled on separate threads), and chunk
+#: boundaries only re-slice finished blocks. A consumer that asks for
+#: ``chunk_tasks=_COLUMN_BLOCK`` gets each block as it was sampled.
 _COLUMN_BLOCK = 262_144
 
 #: Column order of a task-request table (the :class:`TaskRequests`
@@ -493,6 +497,93 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _submit_blocks(arrival_blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """Re-slice streamed arrivals into consecutive ``_COLUMN_BLOCK`` pieces.
+
+    Every piece but the last holds exactly ``_COLUMN_BLOCK`` rows, the
+    blocks the materialized path produced.
+    """
+    buffered: list[np.ndarray] = []
+    buffered_rows = 0
+    exhausted = False
+    while True:
+        while buffered_rows < _COLUMN_BLOCK and not exhausted:
+            piece = next(arrival_blocks, None)
+            if piece is None:
+                exhausted = True
+            elif piece.size:
+                buffered.append(piece)
+                buffered_rows += piece.size
+        if buffered_rows == 0:
+            return
+        merged = _join(buffered)
+        rest = merged[_COLUMN_BLOCK:]
+        buffered = [rest] if rest.size else []
+        buffered_rows = rest.size
+        yield merged[:_COLUMN_BLOCK]
+
+
+#: Most column blocks :func:`iter_task_requests` samples at once, one
+#: per thread. Each block in flight holds its columns and its samplers'
+#: temporaries (about 15 MiB for the two-column spill), so the cap keeps
+#: peak memory from growing with the host's CPU count. Two is the only
+#: count whose wall time and peak RSS have both been measured (on a
+#: 2-CPU host): four threads measured 153–157 MiB against the serial
+#: generator's 144–151 MiB, with no timing to show they buy anything.
+_MAX_SAMPLING_THREADS = 2
+
+
+def _sampling_threads() -> int:
+    """The CPUs this process may use, capped at
+    :data:`_MAX_SAMPLING_THREADS`."""
+    # Imported where it is used, like the pool, so that importing the
+    # registry does not load it.
+    from ..core.cpus import usable_cpus
+
+    return min(usable_cpus(), _MAX_SAMPLING_THREADS)
+
+
+def _sample_blocks_in_order(
+    config: GoogleConfig,
+    submit_blocks: Iterator[np.ndarray],
+    column_seq: np.random.SeedSequence,
+    names: tuple[str, ...],
+) -> Iterator[dict[str, np.ndarray]]:
+    """Sample each submission block's columns on a thread pool, in order.
+
+    The calling thread pulls the blocks and spawns each one's
+    :class:`~numpy.random.SeedSequence` in block order, so the bytes do
+    not depend on the thread count or on timing; at most one block per
+    thread is in flight. NumPy releases the GIL inside the
+    ``Generator`` draws and ufuncs that make up a block. Closing the
+    generator, or an error in a block, cancels the queued blocks and
+    joins the threads before it returns.
+    """
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    threads = _sampling_threads()
+    in_flight: deque[Future[dict[str, np.ndarray]]] = deque()
+    pool = ThreadPoolExecutor(threads, thread_name_prefix="repro-sample")
+    try:
+        first_job_id = 0
+        for submit in submit_blocks:
+            # Spawning is incremental (spawn(1) repeated == spawn(n) up
+            # front), so block seeds need no total block count.
+            rng = np.random.default_rng(column_seq.spawn(1)[0])
+            in_flight.append(
+                pool.submit(
+                    _sample_request_block, config, rng, submit, first_job_id, names
+                )
+            )
+            first_job_id += submit.size
+            if len(in_flight) == threads:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def iter_task_requests(
     horizon: float,
     seed: int = 0,
@@ -508,15 +599,24 @@ def iter_task_requests(
     times stream in hour blocks of about one column block
     (``iter_generate``; only the per-hour rate and count vectors are
     full-horizon), and the other columns are sampled per fixed-size
-    internal block from that block's own spawned RNG stream. Each chunk
-    is a :class:`~repro.core.table.Table` holding exactly ``columns``,
-    in the order given: a projection draws, concatenates and holds only
-    those columns, so peak memory is a few column blocks plus one chunk
-    of the requested columns.
+    internal block (262,144 rows) from that block's own spawned RNG
+    stream. Each chunk is a :class:`~repro.core.table.Table` holding
+    exactly ``columns``, in the order given: a projection draws,
+    concatenates and holds only those columns.
+
+    The blocks are sampled on a thread pool, one thread per usable CPU
+    (the process's affinity mask) up to two, with at most one block
+    per thread in flight. The calling thread keeps everything
+    sequential — the arrival stream, the slicing into blocks and each
+    block's seed — and consumes the blocks in order. Peak memory is
+    therefore a few column blocks per thread plus one chunk of the
+    requested columns. Closing the generator, or an error in a block,
+    cancels the queued blocks and joins the threads before it returns;
+    the error surfaces at the ``next()`` that reaches its block.
 
     Guarantees:
 
-    * Deterministic in ``seed``.
+    * Deterministic in ``seed``, whatever the thread count or timing.
     * Chunk-size invariant: concatenating the yielded chunks gives the
       same arrays bit for bit whatever ``chunk_tasks`` is (the golden
       test checks this against :func:`generate_task_requests_chunked`).
@@ -557,54 +657,29 @@ def iter_task_requests(
     arrival_blocks = process.iter_generate(
         np.random.default_rng(arrival_seq), horizon, block_tasks=_COLUMN_BLOCK
     )
+    blocks = _sample_blocks_in_order(
+        config, _submit_blocks(arrival_blocks), column_seq, names
+    )
 
-    # Re-slice the streamed arrivals into the same consecutive
-    # _COLUMN_BLOCK-sized pieces the materialized path produced, and
-    # spawn each block's SeedSequence lazily: spawning is incremental
-    # (spawn(1) repeated == spawn(n_blocks) up front), so block seeds —
-    # and hence every sampled column — stay bit-identical without
-    # knowing the total block count in advance.
     pending: dict[str, list[np.ndarray]] = {name: [] for name in names}
     pending_rows = 0
-    buffered: list[np.ndarray] = []
-    buffered_rows = 0
-    start = 0
-    exhausted = False
-    while True:
-        while buffered_rows < _COLUMN_BLOCK and not exhausted:
-            piece = next(arrival_blocks, None)
-            if piece is None:
-                exhausted = True
-            elif piece.size:
-                buffered.append(piece)
-                buffered_rows += piece.size
-        if buffered_rows == 0:
-            break
-        merged_submit = np.concatenate(buffered) if len(buffered) > 1 else buffered[0]
-        take = min(_COLUMN_BLOCK, merged_submit.size)
-        rest_submit = merged_submit[take:]
-        buffered = [rest_submit] if rest_submit.size else []
-        buffered_rows = rest_submit.size
-        block = _sample_request_block(
-            config,
-            np.random.default_rng(column_seq.spawn(1)[0]),
-            merged_submit[:take],
-            start,
-            names,
-        )
-        start += take
-        for name, values in block.items():
-            pending[name].append(values)
-        pending_rows += take
-        while pending_rows >= chunk_tasks:
-            merged = {name: _join(parts) for name, parts in pending.items()}
-            yield Table({name: arr[:chunk_tasks] for name, arr in merged.items()})
-            pending_rows -= chunk_tasks
-            pending = {
-                name: [arr[chunk_tasks:]] if pending_rows else []
-                for name, arr in merged.items()
-            }
-    if start == 0:
+    generated = 0
+    with closing(blocks):
+        for block in blocks:
+            rows = block[names[0]].size
+            generated += rows
+            for name, values in block.items():
+                pending[name].append(values)
+            pending_rows += rows
+            while pending_rows >= chunk_tasks:
+                merged = {name: _join(parts) for name, parts in pending.items()}
+                yield Table({name: arr[:chunk_tasks] for name, arr in merged.items()})
+                pending_rows -= chunk_tasks
+                pending = {
+                    name: [arr[chunk_tasks:]] if pending_rows else []
+                    for name, arr in merged.items()
+                }
+    if generated == 0:
         raise ValueError("horizon too short: no tasks generated")
     if pending_rows:
         yield Table({name: _join(parts) for name, parts in pending.items()})

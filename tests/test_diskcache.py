@@ -162,6 +162,22 @@ class TestRoundTrip:
         # The defaultdict keeps its factory, not just its type.
         assert loaded["grouped"]["new"] == []
 
+    def test_arrays_holding_objects_stay_in_the_pickle(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        obj = {
+            "plain": np.array([1, "x", None], dtype=object),
+            "record": np.array([(1, "x")], dtype=[("a", "<i4"), ("b", "O")]),
+            "numbers": np.arange(3),
+        }
+        cache.put("7" * 64, obj)
+        loaded = cache.get("7" * 64)
+        assert cache.stats.errors == 0
+        assert list(loaded["plain"]) == [1, "x", None]
+        assert loaded["record"].tolist() == [(1, "x")]
+        np.testing.assert_array_equal(loaded["numbers"], np.arange(3))
+        arrays = sorted(p.name for p in cache._entry_dir("7" * 64).glob("*.npy"))
+        assert arrays == ["a0.npy"]
+
     def test_unpicklable_object_leaves_nothing(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
         with pytest.raises((pickle.PicklingError, AttributeError)):

@@ -1,5 +1,11 @@
 """Unit and calibration tests for the Google workload model."""
 
+import hashlib
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +14,7 @@ from repro.core.masscount import mass_count
 from repro.core.summary import fraction_below
 from repro.core.shard import ShardWriter
 from repro.core.table import concat_tables
+from repro.synth import google_model
 from repro.synth.google_model import (
     FATE_CODES,
     TASK_REQUEST_COLUMNS,
@@ -191,6 +198,19 @@ class TestChunkedGeneration:
     """Chunked columnar generation: chunk-size-invariant, bounded memory."""
 
     KW = dict(tasks_per_hour=300.0, config=GoogleConfig(busy_window=None))
+    #: 934,014 rows: three full column blocks and a short fourth, so
+    #: chunks cross block boundaries and several blocks are in flight.
+    FOUR_BLOCKS = dict(
+        horizon=2 * DAY,
+        seed=11,
+        tasks_per_hour=20_000,
+        config=GoogleConfig(busy_window=None),
+    )
+    #: sha256 of FOUR_BLOCKS' 11 columns, concatenated in
+    #: TASK_REQUEST_COLUMNS order, as the serial generator made them.
+    FOUR_BLOCKS_SHA256 = (
+        "a5d4e181857414a9fb5db7108122332632a6d97affe5104fb1fae829ac5eaa14"
+    )
 
     def _fields(self, req):
         return {
@@ -219,7 +239,14 @@ class TestChunkedGeneration:
             np.testing.assert_array_equal(rebuilt[name], column, err_msg=name)
             assert rebuilt[name].dtype == column.dtype
 
-    @pytest.mark.parametrize("chunk_tasks", [37, 10**9])
+    @pytest.mark.parametrize(
+        "chunk_tasks, stream",
+        [
+            pytest.param(37, dict(horizon=12 * HOUR, seed=5, **KW), id="37"),
+            pytest.param(10**9, dict(horizon=12 * HOUR, seed=5, **KW), id="1000000000"),
+            pytest.param(100_000, FOUR_BLOCKS, id="four_blocks-100000"),
+        ],
+    )
     @pytest.mark.parametrize(
         "columns",
         [
@@ -231,19 +258,15 @@ class TestChunkedGeneration:
         ],
         ids="-".join,
     )
-    def test_projection_matches_full_stream(self, columns, chunk_tasks):
+    def test_projection_matches_full_stream(self, columns, chunk_tasks, stream):
         # A projection skips the draws after its last column, and each
         # column block draws from its own spawned stream, so every kept
         # column is the full stream's column bit for bit.
-        whole = generate_task_requests_chunked(12 * HOUR, seed=5, **self.KW)
+        whole = generate_task_requests_chunked(**stream)
         projected = concat_tables(
             list(
                 iter_task_requests(
-                    12 * HOUR,
-                    seed=5,
-                    chunk_tasks=chunk_tasks,
-                    columns=columns,
-                    **self.KW,
+                    **stream, chunk_tasks=chunk_tasks, columns=columns
                 )
             )
         )
@@ -313,24 +336,140 @@ class TestChunkedGeneration:
             seed=5,
             shard_rows=700,
             columns=columns,
-            chunk_tasks=500,
             **self.KW,
         )
         schema = {name: getattr(whole, name).dtype for name in columns}
         with ShardWriter(tmp_path / "direct", schema, shard_rows=700) as writer:
             writer.append({name: getattr(whole, name) for name in columns})
         assert spilled.num_rows == len(whole)
-
-        def tree(root):
-            return {
-                p.relative_to(root): p.read_bytes()
-                for p in root.rglob("*")
-                if p.is_file()
-            }
-
-        spill = tree(tmp_path / "spill")
+        spill = _tree(tmp_path / "spill")
         assert any(rel.name == "manifest.json" for rel in spill)
-        assert spill == tree(tmp_path / "direct")
+        assert spill == _tree(tmp_path / "direct")
+
+
+def _use_threads(monkeypatch, threads):
+    """Make the generator sample with ``threads`` threads on this host."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False
+    )
+    monkeypatch.setattr(google_model, "_MAX_SAMPLING_THREADS", threads)
+    assert google_model._sampling_threads() == threads
+
+
+def _wait_for_threads(baseline, timeout=10.0):
+    """Wait until only ``baseline`` threads are alive; return the count."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+def _tree(root):
+    return {
+        p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()
+    }
+
+
+class TestThreadedSampling:
+    """Column blocks sampled on threads: same bytes, no thread left behind."""
+
+    STREAM = TestChunkedGeneration.FOUR_BLOCKS
+    SPILL = dict(STREAM, shard_rows=300_000, columns=("submit_time", "duration"))
+
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (8, 2)])
+    def test_threads_follow_affinity_up_to_two(self, monkeypatch, cpus, threads):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        assert google_model._sampling_threads() == threads
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_stream_bytes_do_not_depend_on_threads(self, monkeypatch, threads):
+        # 8 threads is more than this suite's hosts have cores, and every
+        # one of the four blocks is in flight at once; a short switch
+        # interval interleaves the threads as finely as it can.
+        _use_threads(monkeypatch, threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            chunks = list(iter_task_requests(**self.STREAM, chunk_tasks=100_000))
+        finally:
+            sys.setswitchinterval(interval)
+        table = concat_tables(chunks)
+        assert len(table) == 934_014
+        digest = hashlib.sha256()
+        for name in TASK_REQUEST_COLUMNS:
+            digest.update(table[name].tobytes())
+        assert digest.hexdigest() == TestChunkedGeneration.FOUR_BLOCKS_SHA256
+
+    def test_close_after_first_chunk_joins_threads(self, monkeypatch):
+        _use_threads(monkeypatch, 4)
+        baseline = threading.active_count()
+        stream = iter_task_requests(**self.STREAM, chunk_tasks=100_000)
+        assert len(next(stream)) == 100_000
+        stream.close()
+        assert _wait_for_threads(baseline) == baseline
+
+    def test_block_error_surfaces_at_its_next(self, monkeypatch):
+        _use_threads(monkeypatch, 4)
+        sample = google_model._sample_request_block
+
+        def fail_second_block(config, rng, submit, first_job_id, names):
+            if first_job_id == google_model._COLUMN_BLOCK:
+                raise RuntimeError("block 2 failed")
+            return sample(config, rng, submit, first_job_id, names)
+
+        monkeypatch.setattr(google_model, "_sample_request_block", fail_second_block)
+        baseline = threading.active_count()
+        stream = iter_task_requests(
+            **self.STREAM, chunk_tasks=google_model._COLUMN_BLOCK
+        )
+        first = next(stream)
+        np.testing.assert_array_equal(
+            first["job_id"], np.arange(google_model._COLUMN_BLOCK)
+        )
+        with pytest.raises(RuntimeError, match="block 2 failed") as failure:
+            next(stream)
+        assert failure.traceback
+        assert _wait_for_threads(baseline) == baseline
+        with pytest.raises(StopIteration):
+            next(stream)
+
+    def test_write_error_leaves_dest_unpublished_and_resume_finishes(
+        self, monkeypatch, tmp_path
+    ):
+        _use_threads(monkeypatch, 4)
+        emit = ShardWriter._emit
+        emitted = []
+
+        def fail_second_shard(writer, n_rows):
+            if len(writer._shard_counts) == 1:
+                raise OSError("disk full")
+            emit(writer, n_rows)
+
+        monkeypatch.setattr(ShardWriter, "_emit", fail_second_shard)
+        baseline = threading.active_count()
+        dest = tmp_path / "spill"
+        with pytest.raises(OSError, match="disk full") as failure:
+            shard_task_requests(dest, resume=True, **self.SPILL)
+        # The spill closes its stream itself: its threads are gone while
+        # the traceback still holds the spill's frame and the stream.
+        assert failure.traceback
+        assert _wait_for_threads(baseline) == baseline
+        assert not dest.exists()
+        assert (tmp_path / ".spill.partial" / "shard-00000").is_dir()
+
+        def count_shards(writer, n_rows):
+            emitted.append(n_rows)
+            emit(writer, n_rows)
+
+        monkeypatch.setattr(ShardWriter, "_emit", count_shards)
+        resumed = shard_task_requests(dest, resume=True, **self.SPILL)
+        assert len(emitted) == resumed.num_shards - 1  # shard 0 was adopted
+        assert _wait_for_threads(baseline) == baseline
+        fresh = shard_task_requests(tmp_path / "fresh", **self.SPILL)
+        assert fresh.num_shards == 4
+        assert _tree(dest) == _tree(tmp_path / "fresh")
 
 
 class TestGenerateGoogleTrace:
